@@ -211,7 +211,11 @@ void BM_HeapObjectLookup(benchmark::State &State) {
 }
 BENCHMARK(BM_HeapObjectLookup);
 
-void BM_CoherenceAccess(benchmark::State &State) {
+/// One coherence-model step per iteration: a random access by one of
+/// \p Threads threads to one of \p Lines lines, a write with probability
+/// \p WriteFraction.
+void coherenceAccessLoop(benchmark::State &State, uint64_t Lines,
+                         uint32_t Threads, double WriteFraction) {
   CacheGeometry Geometry(64);
   sim::LatencyModel Latency;
   sim::CoherenceModel Model(Geometry, Latency);
@@ -219,15 +223,33 @@ void BM_CoherenceAccess(benchmark::State &State) {
   uint64_t Now = 0;
   for (auto _ : State) {
     MemoryAccess Access =
-        Rng.nextBool(0.5)
-            ? MemoryAccess::write(0x1000 + Rng.nextBelow(64) * 64)
-            : MemoryAccess::read(0x1000 + Rng.nextBelow(64) * 64);
-    benchmark::DoNotOptimize(
-        Model.access(static_cast<ThreadId>(Rng.nextBelow(8)), Access, Now));
+        Rng.nextBool(WriteFraction)
+            ? MemoryAccess::write(0x1000 + Rng.nextBelow(Lines) * 64)
+            : MemoryAccess::read(0x1000 + Rng.nextBelow(Lines) * 64);
+    benchmark::DoNotOptimize(Model.access(
+        static_cast<ThreadId>(Rng.nextBelow(Threads)), Access, Now));
     Now += 7;
   }
 }
+
+void BM_CoherenceAccess(benchmark::State &State) {
+  coherenceAccessLoop(State, 64, 8, 0.5);
+}
 BENCHMARK(BM_CoherenceAccess);
+
+/// The same step at the directory shapes live runs reach. 64k lines from
+/// 16 threads grows the line directory well past its initial size; 2k lines
+/// read by 1,024 threads with 1% writes is x264's reference-frame sharing,
+/// which keeps most lines' holders spilled to bitsets.
+void BM_CoherenceAccessShape(benchmark::State &State) {
+  coherenceAccessLoop(State, static_cast<uint64_t>(State.range(0)),
+                      static_cast<uint32_t>(State.range(1)),
+                      static_cast<double>(State.range(2)) / 1000.0);
+}
+BENCHMARK(BM_CoherenceAccessShape)
+    ->ArgNames({"lines", "threads", "write_permille"})
+    ->Args({65536, 16, 500})
+    ->Args({2048, 1024, 10});
 
 //===----------------------------------------------------------------------===//
 // Multi-threaded ingestion scaling

@@ -15,17 +15,12 @@ void SimPmu::reset() {
   ThreadsConfigured = 0;
 }
 
-SamplingPolicy &SimPmu::policyFor(ThreadId Tid) {
-  auto It = Policies.find(Tid);
-  if (It != Policies.end())
-    return It->second;
+void SimPmu::addPolicies(ThreadId UpTo) {
   // Each thread gets its own jitter stream so threads don't sample in
   // lock-step; seeds derive from the thread id for reproducibility.
-  auto [NewIt, Inserted] = Policies.emplace(
-      Tid, SamplingPolicy(Config.SamplingPeriod, Config.JitterFraction,
-                          Config.Seed ^ (0x9e3779b97f4a7c15ull * (Tid + 1))));
-  (void)Inserted;
-  return NewIt->second;
+  for (uint64_t Tid = Policies.size(); Tid <= UpTo; ++Tid)
+    Policies.emplace_back(Config.SamplingPeriod, Config.JitterFraction,
+                          Config.Seed ^ (0x9e3779b97f4a7c15ull * (Tid + 1)));
 }
 
 uint64_t SimPmu::onThreadStart(ThreadId Tid, bool IsMain, uint64_t Now) {

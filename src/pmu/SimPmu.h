@@ -32,7 +32,7 @@
 #include "sim/Simulator.h"
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace cheetah {
 namespace pmu {
@@ -79,14 +79,22 @@ public:
   void onInstructions(ThreadId Tid, uint64_t Count) override;
 
 private:
-  SamplingPolicy &policyFor(ThreadId Tid);
+  /// The simulator numbers threads densely from 0, so policies are indexed
+  /// by tid; a tid's policy depends only on the config and the tid, so
+  /// creating a run of them at once is the same as creating each lazily.
+  SamplingPolicy &policyFor(ThreadId Tid) {
+    if (Tid >= Policies.size())
+      addPolicies(Tid);
+    return Policies[Tid];
+  }
+  void addPolicies(ThreadId UpTo);
 
   PmuConfig Config;
   SampleHandler Handler;
   bool Enabled = true;
   uint64_t SamplesDelivered = 0;
   uint64_t ThreadsConfigured = 0;
-  std::unordered_map<ThreadId, SamplingPolicy> Policies;
+  std::vector<SamplingPolicy> Policies;
 };
 
 } // namespace pmu

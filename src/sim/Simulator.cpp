@@ -9,10 +9,72 @@
 #include "support/Assert.h"
 
 #include <algorithm>
-#include <queue>
 
 using namespace cheetah;
 using namespace cheetah::sim;
+
+namespace {
+
+/// Binary min-heap of runnable threads keyed by (clock, spawn index). Keys
+/// are unique (indices are), so the order is the exact (clock, index)
+/// minimum whatever the heap's shape.
+class RunQueue {
+public:
+  struct Entry {
+    uint64_t Clock;
+    size_t Index;
+    bool operator<(const Entry &Other) const {
+      return Clock < Other.Clock ||
+             (Clock == Other.Clock && Index < Other.Index);
+    }
+  };
+
+  /// Heapifies \p Initial.
+  explicit RunQueue(std::vector<Entry> Initial) : Heap(std::move(Initial)) {
+    for (size_t I = Heap.size() / 2; I-- > 0;)
+      siftDown(I, Heap[I]);
+  }
+
+  bool empty() const { return Heap.empty(); }
+  size_t topIndex() const { return Heap.front().Index; }
+
+  /// \returns true if \p Key, as the top's new key, would still be the
+  /// minimum: it beats both of the root's children.
+  bool staysOnTop(const Entry &Key) const {
+    size_t N = Heap.size();
+    return (N < 2 || Key < Heap[1]) && (N < 3 || Key < Heap[2]);
+  }
+
+  /// Gives the top thread the new key \p Key.
+  void replaceTop(const Entry &Key) { siftDown(0, Key); }
+
+  /// Removes the top thread.
+  void popTop() {
+    Entry Last = Heap.back();
+    Heap.pop_back();
+    if (!Heap.empty())
+      siftDown(0, Last);
+  }
+
+private:
+  /// Places \p Key at or below the hole \p Hole.
+  void siftDown(size_t Hole, Entry Key) {
+    size_t N = Heap.size();
+    for (size_t Child = 2 * Hole + 1; Child < N; Child = 2 * Hole + 1) {
+      if (Child + 1 < N && Heap[Child + 1] < Heap[Child])
+        ++Child;
+      if (!(Heap[Child] < Key))
+        break;
+      Heap[Hole] = Heap[Child];
+      Hole = Child;
+    }
+    Heap[Hole] = Key;
+  }
+
+  std::vector<Entry> Heap;
+};
+
+} // namespace
 
 const ThreadRecord &SimulationResult::thread(ThreadId Tid) const {
   for (const ThreadRecord &Record : Threads)
@@ -74,10 +136,12 @@ bool Simulator::step(RunningThread &Thread, CoherenceModel &Coherence,
     // its directory) and pay the remote surcharge — folded into the access
     // latency so observers (PMU sampling) see the remote-DRAM cost.
     NodeId Node = Topology->nodeOf(Thread.Tid);
-    auto [Home, Fresh] =
-        PageHomes.try_emplace(Topology->pageIndex(Event.Access.Address), Node);
-    (void)Fresh;
-    if (Home->second != Node) {
+    bool Fresh;
+    NodeId &Home = PageHomes.findOrInsert(
+        Topology->pageIndex(Event.Access.Address), Fresh);
+    if (Fresh)
+      Home = Node;
+    if (Home != Node) {
       uint32_t Base = 0;
       if (Access.Outcome == AccessOutcome::ColdMiss)
         Base = Latency.RemoteDramExtraCycles;
@@ -94,7 +158,7 @@ bool Simulator::step(RunningThread &Thread, CoherenceModel &Coherence,
         // exactly Base and asymmetric ones make far traffic visibly more
         // expensive than near traffic.
         uint64_t Extra =
-            Topology->scaledRemoteCycles(Base, Node, Home->second);
+            Topology->scaledRemoteCycles(Base, Node, Home);
         Access.LatencyCycles += Extra;
         ++Result.RemoteNumaAccesses;
         Result.RemoteNumaExtraCycles += Extra;
@@ -186,25 +250,29 @@ SimulationResult Simulator::run(const ForkJoinProgram &Program) {
       Observer->onPhaseBegin(Parallel);
 
     // Min-clock scheduling: always advance the thread whose virtual clock is
-    // smallest. This interleaves contending threads at instruction
-    // granularity, which is what makes ping-pong invalidation patterns
-    // emerge the way they do on real hardware.
-    using QueueEntry = std::pair<uint64_t, size_t>;
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                        std::greater<QueueEntry>>
-        Runnable;
+    // smallest, ties going to the earlier-spawned thread. This interleaves
+    // contending threads at instruction granularity, which is what makes
+    // ping-pong invalidation patterns emerge the way they do on real
+    // hardware.
+    std::vector<RunQueue::Entry> Initial;
+    Initial.reserve(Children.size());
     for (size_t I = 0; I < Children.size(); ++I)
-      Runnable.push({Children[I].Clock, I});
+      Initial.push_back({Children[I].Clock, I});
+    RunQueue Runnable(std::move(Initial));
 
     uint64_t PhaseEnd = MainClock;
     while (!Runnable.empty()) {
-      auto [Clock, Index] = Runnable.top();
-      Runnable.pop();
+      size_t Index = Runnable.topIndex();
       RunningThread &Child = Children[Index];
-      if (step(Child, Coherence, Result)) {
-        Runnable.push({Child.Clock, Index});
+      bool Live = step(Child, Coherence, Result);
+      // Run ahead while this thread would be picked again anyway.
+      while (Live && Runnable.staysOnTop({Child.Clock, Index}))
+        Live = step(Child, Coherence, Result);
+      if (Live) {
+        Runnable.replaceTop({Child.Clock, Index});
         continue;
       }
+      Runnable.popTop();
       // Thread finished.
       Child.Record.EndCycle = Child.Clock;
       PhaseEnd = std::max(PhaseEnd, Child.Clock);

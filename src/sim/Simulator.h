@@ -9,9 +9,12 @@
 /// thread (the paper's Assumption 1), infinite private caches (Assumption 2),
 /// and a per-thread virtual cycle clock. Threads within a parallel phase are
 /// interleaved in virtual-time order (the runnable thread with the smallest
-/// clock steps next), which yields realistic fine-grained interleavings of
-/// contending writers without real concurrency — essential on a single-core
-/// build host.
+/// (clock, spawn index) pair steps next), which yields realistic fine-grained
+/// interleavings of contending writers without real concurrency — essential
+/// on a single-core build host. The runnable set is a binary min-heap that
+/// replaces its top in place after each step, and a thread keeps stepping
+/// without touching the heap while its new key still beats both of the
+/// root's children, i.e. while it would be popped again next anyway.
 ///
 /// Observers (the Cheetah profiler, the full-instrumentation baseline) hook
 /// thread lifecycle and every memory access; any cycles they return are
@@ -27,12 +30,12 @@
 #include "mem/MemoryAccess.h"
 #include "mem/NumaTopology.h"
 #include "sim/CoherenceModel.h"
+#include "sim/FlatTable.h"
 #include "sim/ForkJoinProgram.h"
 #include "sim/LatencyModel.h"
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace cheetah {
@@ -168,7 +171,7 @@ private:
   std::vector<SimObserver *> Observers;
   const NumaTopology *Topology = nullptr;
   /// First-touch page homes of the current run (page index -> node).
-  std::unordered_map<uint64_t, NodeId> PageHomes;
+  FlatTable<NodeId> PageHomes{256};
 };
 
 } // namespace sim

@@ -15,7 +15,10 @@
 ///  - phase structure partitions the execution and owns every child;
 ///  - detection gates (no detail without writes above threshold, no
 ///    invalidations without a multi-thread line);
-///  - the coherence model against a brute-force holder-set oracle;
+///  - the coherence model against a brute-force holder-set oracle, and
+///    differentially against the original map-based model
+///    (ReferenceCoherenceModel.h) on streams that reach the bitset spill,
+///    directory growth, same-cycle bursts and reset-then-reuse;
 ///  - determinism of the entire stack under a fixed seed;
 ///  - the packed page table against a sequential reference model on random
 ///    access sequences (the node-granularity mirror of the two-entry-table
@@ -40,6 +43,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceCoherenceModel.h"
 #include "baseline/ReferenceModel.h"
 #include "core/Profiler.h"
 #include "core/detect/BatchDecode.h"
@@ -382,6 +386,123 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleParams{16, 8, 0.9, 26},
                       OracleParams{32, 32, 0.5, 27},
                       OracleParams{3, 1, 1.0, 28}));
+
+//===----------------------------------------------------------------------===//
+// Coherence model vs the original map-based model
+//===----------------------------------------------------------------------===//
+
+struct DifferentialParams {
+  const char *Name;
+  uint32_t Threads;
+  uint64_t Lines;
+  double WriteFraction;
+  uint32_t Steps;
+  /// Accesses presented at one Now before the clock advances (1 = every
+  /// access sees a fresh time; larger values queue on BusyUntil).
+  uint32_t BurstLength;
+  /// Step after which both models are reset and reused (0 = never).
+  uint32_t ResetAfter;
+  uint64_t Seed;
+};
+
+void PrintTo(const DifferentialParams &Params, std::ostream *Os) {
+  *Os << Params.Name;
+}
+
+class CoherenceDifferentialTest
+    : public ::testing::TestWithParam<DifferentialParams> {};
+
+bool sameStats(const sim::CoherenceStats &A, const sim::CoherenceStats &B) {
+  return A.Accesses == B.Accesses && A.LocalHits == B.LocalHits &&
+         A.ColdMisses == B.ColdMisses && A.CleanTransfers == B.CleanTransfers &&
+         A.DirtyTransfers == B.DirtyTransfers && A.Upgrades == B.Upgrades &&
+         A.InvalidationsSent == B.InvalidationsSent &&
+         A.TotalLatency == B.TotalLatency;
+}
+
+TEST_P(CoherenceDifferentialTest, MatchesReferenceModel) {
+  const DifferentialParams &Params = GetParam();
+  CacheGeometry Geometry(64);
+  sim::LatencyModel Latency;
+  sim::CoherenceModel Model(Geometry, Latency);
+  test::ReferenceCoherenceModel Reference(Geometry, Latency);
+
+  SplitMix64 Rng(Params.Seed);
+  uint64_t Now = 0;
+  for (uint32_t I = 0; I < Params.Steps; ++I) {
+    ThreadId Tid = static_cast<ThreadId>(Rng.nextBelow(Params.Threads));
+    uint64_t Address =
+        0x100000 + Rng.nextBelow(Params.Lines) * 64 + Rng.nextBelow(16) * 4;
+    MemoryAccess Access = Rng.nextBool(Params.WriteFraction)
+                              ? MemoryAccess::write(Address)
+                              : MemoryAccess::read(Address);
+
+    sim::CoherenceResult Got = Model.access(Tid, Access, Now);
+    sim::CoherenceResult Want = Reference.access(Tid, Access, Now);
+    if (Got.Outcome != Want.Outcome ||
+        Got.LatencyCycles != Want.LatencyCycles ||
+        Got.Invalidated != Want.Invalidated) {
+      ADD_FAILURE() << "step " << I << ": tid " << Tid << " "
+                    << (Access.isWrite() ? "write" : "read") << " 0x"
+                    << std::hex << Address << std::dec << " got "
+                    << sim::accessOutcomeName(Got.Outcome) << "/"
+                    << Got.LatencyCycles << "/" << Got.Invalidated
+                    << ", reference "
+                    << sim::accessOutcomeName(Want.Outcome) << "/"
+                    << Want.LatencyCycles << "/" << Want.Invalidated;
+      return;
+    }
+    if (I % 8 == 0 &&
+        Model.holdersOf(Address) != Reference.holdersOf(Address)) {
+      ADD_FAILURE() << "step " << I << ": holders of 0x" << std::hex
+                    << Address << " differ";
+      return;
+    }
+    if ((I + 1) % Params.BurstLength == 0)
+      Now += Want.LatencyCycles + 1;
+    if (I + 1 == Params.ResetAfter) {
+      Model.reset();
+      Reference.reset();
+      EXPECT_EQ(Model.touchedLines(), 0u);
+      EXPECT_TRUE(Model.holdersOf(Address).empty());
+      EXPECT_TRUE(sameStats(Model.stats(), sim::CoherenceStats()));
+    }
+  }
+
+  EXPECT_TRUE(sameStats(Model.stats(), Reference.stats()));
+  EXPECT_EQ(Model.touchedLines(), Reference.touchedLines());
+  // Every line's final holder set (a sample of them on the wide streams).
+  uint64_t Stride = std::max<uint64_t>(1, Params.Lines / 8192);
+  for (uint64_t Line = 0; Line < Params.Lines; Line += Stride) {
+    uint64_t Address = 0x100000 + Line * 64;
+    ASSERT_EQ(Model.holdersOf(Address), Reference.holdersOf(Address))
+        << "line " << Line;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, CoherenceDifferentialTest,
+    ::testing::Values(
+        // Few threads, few lines: the inline holder pair and ping-pong.
+        DifferentialParams{"InlinePair", 3, 16, 0.4, 60000, 1, 0, 41},
+        DifferentialParams{"SmallMixed", 8, 64, 0.5, 60000, 1, 0, 42},
+        // Tids past 64 and up to 1,100, mostly reads: nearly every line
+        // spills to a multi-word bitset, and the rare writes collapse
+        // spilled lines back to one holder before they spill again.
+        DifferentialParams{"WideSpill", 1100, 256, 0.02, 150000, 1, 0, 43},
+        DifferentialParams{"SpillChurn", 200, 32, 0.15, 100000, 1, 0, 44},
+        // Over 200k distinct lines: the directory doubles eight times.
+        DifferentialParams{"DirectoryGrowth", 16, 1 << 20, 0.3, 300000, 1, 0,
+                           45},
+        // Many accesses at one Now queue on each line's BusyUntil.
+        DifferentialParams{"SameCycleBursts", 32, 8, 0.5, 60000, 64, 0, 46},
+        DifferentialParams{"SpillBursts", 1024, 64, 0.05, 60000, 256, 0, 47},
+        // reset() mid-stream, then reuse with spills and growth again.
+        DifferentialParams{"ResetThenReuse", 1100, 4096, 0.1, 120000, 4,
+                           60000, 48}),
+    [](const ::testing::TestParamInfo<DifferentialParams> &Info) {
+      return std::string(Info.param.Name);
+    });
 
 //===----------------------------------------------------------------------===//
 // Geometry sweep: detection is line-size aware end to end

@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
+
 using namespace cheetah;
 using namespace cheetah::sim;
 
@@ -344,6 +349,103 @@ TEST(SimulatorTest, MinClockSchedulingInterleavesContendingWriters) {
   Simulator Sim(Geometry, Latency);
   SimulationResult Result = Sim.run(Program);
   EXPECT_GT(Result.Coherence.DirtyTransfers, 1500u);
+}
+
+/// Observer that records every access as (tid, clock after the access).
+class RecordingObserver : public SimObserver {
+public:
+  std::vector<std::pair<ThreadId, uint64_t>> Accesses;
+
+  uint64_t onMemoryAccess(ThreadId Tid, const MemoryAccess &,
+                          const CoherenceResult &, uint64_t Now) override {
+    Accesses.push_back({Tid, Now});
+    return 0;
+  }
+};
+
+/// The access order a (clock, spawn index) min-priority queue produces for
+/// the threads of \p Result, given each thread's clock after every access
+/// (its key for the next step, as the recording observer charges nothing).
+/// Handles programs whose memory accesses are all in parallel phases.
+std::vector<std::pair<ThreadId, uint64_t>>
+expectedOrder(const SimulationResult &Result,
+              const std::vector<std::pair<ThreadId, uint64_t>> &Recorded) {
+  std::vector<std::vector<uint64_t>> Clocks(Result.Threads.size());
+  for (auto [Tid, Now] : Recorded)
+    Clocks[Tid].push_back(Now);
+
+  std::vector<std::pair<ThreadId, uint64_t>> Order;
+  for (const PhaseRecord &Phase : Result.Phases) {
+    if (!Phase.Parallel)
+      continue;
+    using Key = std::pair<uint64_t, size_t>;
+    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> Queue;
+    std::vector<size_t> Next(Phase.Members.size(), 0);
+    for (size_t I = 0; I < Phase.Members.size(); ++I)
+      Queue.push({Result.thread(Phase.Members[I]).StartCycle, I});
+    while (!Queue.empty()) {
+      size_t I = Queue.top().second;
+      Queue.pop();
+      ThreadId Tid = Phase.Members[I];
+      if (Next[I] == Clocks[Tid].size())
+        continue; // the step that finds the body exhausted
+      uint64_t Now = Clocks[Tid][Next[I]++];
+      Order.push_back({Tid, Now});
+      Queue.push({Now, I});
+    }
+  }
+  return Order;
+}
+
+void expectQueueOrder(const ForkJoinProgram &Program, LatencyModel Latency,
+                      size_t ExpectedAccesses) {
+  Simulator Sim(CacheGeometry(64), Latency);
+  RecordingObserver Recorder;
+  Sim.addObserver(&Recorder);
+  SimulationResult Result = Sim.run(Program);
+  ASSERT_EQ(Recorder.Accesses.size(), ExpectedAccesses);
+  std::vector<std::pair<ThreadId, uint64_t>> Expected =
+      expectedOrder(Result, Recorder.Accesses);
+  ASSERT_EQ(Expected.size(), Recorder.Accesses.size());
+  for (size_t I = 0; I < Expected.size(); ++I)
+    ASSERT_EQ(Recorder.Accesses[I], Expected[I]) << "access " << I;
+}
+
+TEST(SimulatorTest, SchedulerBreaksClockTiesBySpawnOrder) {
+  // 24 threads spawned at one clock, mostly hitting private lines at equal
+  // cost, so most steps tie on clock; every third thread sometimes writes
+  // a shared line, which shifts some clocks and reorders the ties.
+  ForkJoinProgram Program;
+  for (int P = 0; P < 2; ++P) {
+    PhaseSpec &Phase = Program.addPhase("ties" + std::to_string(P));
+    for (uint64_t T = 0; T < 24; ++T)
+      Phase.ParallelBodies.push_back([T]() -> Generator<ThreadEvent> {
+        for (uint64_t I = 0; I < 300; ++I) {
+          if (T % 3 == 0 && I % 17 == 0)
+            co_yield ThreadEvent::write(0x8000 + (T % 2) * 8, 8);
+          else
+            co_yield ThreadEvent::write(0x10000 + T * 64 + (I % 8) * 8, 8);
+        }
+      });
+  }
+  LatencyModel Latency;
+  Latency.ThreadSpawnCycles = 0;
+  expectQueueOrder(Program, Latency, 2 * 24 * 300);
+}
+
+TEST(SimulatorTest, SchedulerOrdersThousandThreadPhase) {
+  // x264's shape: 1,024 threads spawned one after another, each reading a
+  // shared table and writing its own slot.
+  ForkJoinProgram Program;
+  PhaseSpec &Phase = Program.addPhase("wide");
+  for (uint64_t T = 0; T < 1024; ++T)
+    Phase.ParallelBodies.push_back([T]() -> Generator<ThreadEvent> {
+      for (uint64_t I = 0; I < 6; ++I) {
+        co_yield ThreadEvent::read(0x40000 + ((T + I) % 32) * 64, 8);
+        co_yield ThreadEvent::write(0x80000 + T * 8, 8);
+      }
+    });
+  expectQueueOrder(Program, LatencyModel(), 1024 * 12);
 }
 
 TEST(SimulatorTest, SpawnAndJoinCostsAppearInSpan) {
