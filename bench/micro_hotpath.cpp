@@ -11,26 +11,17 @@
 /// "handling of each sampled memory access" overhead the paper discusses in
 /// Section 4.1.
 ///
-/// The *_ThreadedIngest benchmarks drive the same detection hot path from
-/// 1..8 concurrent threads; compare their aggregate items_per_second to see
-/// the multi-threaded ingestion scaling. BM_ThreadedIngest runs the
-/// build's native path (lock-free CAS by default, striped-mutex when
-/// configured with -DCHEETAH_LOCKED_TABLE=ON), while
-/// BM_ThreadedIngestStripedLock wraps the same detector in a PR-1-style
-/// 64-stripe mutex harness inside the benchmark, and
-/// BM_ThreadedIngestSharded drives the epoch-sharded accumulation path
-/// (stage-1 gate + per-thread shard record + quiesce merge) — so a single
-/// run reports shared, locked, and sharded throughput side by side at
-/// every thread count without rebuilding.
+/// The *_ThreadedIngest benchmarks drive the same lock-free detection hot
+/// path from 1..8 concurrent threads; compare their aggregate
+/// items_per_second to see the multi-threaded ingestion scaling.
 ///
 /// `micro_hotpath --emit-ingest-json=PATH` skips google-benchmark and runs
-/// the dedicated ingest sweep instead: shared vs locked vs sharded vs
-/// batched (the staged handleBatch pipeline) at 1..8 threads, the
-/// single-threaded trace-replay delivery row (BM_TraceReplay's sweep
-/// counterpart), plus the decode dimension — the scalar and SIMD
-/// sample-decode kernels at batch sizes 1/16/64/256 — written as the
-/// machine-readable `BENCH_ingest.json` (samples/sec/core) that tracks
-/// the ingestion-throughput trajectory across PRs.
+/// the dedicated ingest sweep instead: per-sample (shared) vs batched (the
+/// staged handleBatch pipeline) at 1..8 threads, the single-threaded
+/// trace-replay delivery row (BM_TraceReplay's sweep counterpart), plus the
+/// decode dimension — the sample decoder at batch sizes 1/16/64/256 —
+/// written as the machine-readable `BENCH_ingest.json` (samples/sec/core)
+/// that tracks the ingestion-throughput trajectory across changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +47,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,7 +119,7 @@ void BM_DetectorHandleSample(benchmark::State &State) {
 }
 BENCHMARK(BM_DetectorHandleSample);
 
-/// The same detection hot path through the staged batch pipeline — vector
+/// The same detection hot path through the staged batch pipeline — batch
 /// decode, prefetched stage-1 sweep, branchless filter, prefetched detail
 /// lookups — over full 256-sample chunks. Compare items_per_second against
 /// BM_DetectorHandleSample for the batching win.
@@ -154,8 +144,8 @@ void BM_DetectorHandleBatch(benchmark::State &State) {
 }
 BENCHMARK(BM_DetectorHandleBatch);
 
-/// One continuous-profiling epoch boundary under a byte budget: quiesce,
-/// rank every materialized grain coldest-first, evict down to the budget,
+/// One continuous-profiling epoch boundary under a byte budget: rank every
+/// materialized grain coldest-first, evict down to the budget,
 /// reclaim, then re-materialize a fresh working set for the next
 /// iteration. This is the daemon's per-epoch maintenance cost — the price
 /// of bounded memory, paid outside the ingest hot path.
@@ -179,7 +169,6 @@ void BM_EvictionEpochBoundary(benchmark::State &State) {
       Detect.handleSample(Sample, true);
     }
     State.ResumeTiming();
-    Detect.quiesce();
     benchmark::DoNotOptimize(Shadow.enforceBudget());
   }
   State.SetItemsProcessed(State.iterations() * GrainsPerEpoch);
@@ -303,105 +292,6 @@ void BM_ThreadedIngest(benchmark::State &State) {
 }
 BENCHMARK(BM_ThreadedIngest)->ThreadRange(1, 8)->UseRealTime();
 
-/// The PR-1 locked design, reproduced in-harness: the same detector calls,
-/// serialized by a 64-stripe mutex array keyed by line index exactly as
-/// ShadowMemory::lineLock used to do. Comparing this row against
-/// BM_ThreadedIngest at the same thread count is the locked-vs-lock-free
-/// A/B the CHEETAH_LOCKED_TABLE toggle exists for, without rebuilding.
-void BM_ThreadedIngestStripedLock(benchmark::State &State) {
-  static IngestHarness *Harness = nullptr;
-  static std::mutex *Stripes = nullptr;
-  constexpr size_t StripeCount = 64;
-  if (State.thread_index() == 0) {
-    Harness = new IngestHarness(LinesPerIngestThread * State.threads());
-    Stripes = new std::mutex[StripeCount];
-  }
-
-  uint64_t SliceBase =
-      0x4000'0000 +
-      uint64_t(State.thread_index()) * LinesPerIngestThread * 64;
-  SplitMix64 Rng(300 + State.thread_index());
-  pmu::Sample Sample;
-  for (auto _ : State) {
-    Sample.Address =
-        SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-        Rng.nextBelow(16) * 4;
-    Sample.Tid =
-        static_cast<ThreadId>(State.thread_index() * 4 + Rng.nextBelow(4));
-    Sample.IsWrite = Rng.nextBool(0.7);
-    Sample.LatencyCycles = 40;
-    uint64_t Line = Sample.Address >> 6;
-    std::lock_guard<std::mutex> Lock(
-        Stripes[(Line * 0x9e3779b97f4a7c15ull) >> 58]);
-    benchmark::DoNotOptimize(Harness->Detect.handleSample(Sample, true));
-  }
-  State.SetItemsProcessed(State.iterations());
-
-  if (State.thread_index() == 0) {
-    delete Harness;
-    Harness = nullptr;
-    delete[] Stripes;
-    Stripes = nullptr;
-  }
-}
-BENCHMARK(BM_ThreadedIngestStripedLock)->ThreadRange(1, 8)->UseRealTime();
-
-/// One sample through the epoch-sharded accumulation path, in-harness:
-/// the same stage-1 susceptibility gate and detail materialization the
-/// detector's line stage runs, with the additive record going to this
-/// thread's shard instead of the shared atomics. Callers quiesce() the
-/// table at the epoch boundary.
-inline void ingestSampleSharded(IngestHarness &Harness,
-                                const pmu::Sample &Sample) {
-  uint32_t Writes = Sample.IsWrite
-                        ? Harness.Shadow.noteWrite(Sample.Address)
-                        : Harness.Shadow.writeCount(Sample.Address);
-  if (Writes <= core::DetectorConfig{}.WriteThreshold)
-    return;
-  uint64_t Base = Harness.Shadow.lineBase(Sample.Address);
-  core::CacheLineInfo &Info = Harness.Shadow.materializeDetail(Base);
-  Harness.Shadow.recordSharded(
-      Base, Info, Sample.Tid, Sample.Tid,
-      Sample.IsWrite ? AccessKind::Write : AccessKind::Read,
-      Harness.Geometry.wordInLine(Sample.Address), /*Span=*/1,
-      Sample.LatencyCycles);
-}
-
-/// The CHEETAH_SHARDED_TABLE ingestion design, runnable from any build:
-/// per-thread shard accumulation with zero cross-thread CAS traffic
-/// beyond the shared two-entry table transition, merged back once at the
-/// end of the run. Compare against BM_ThreadedIngest (shared atomics) and
-/// BM_ThreadedIngestStripedLock (PR-1 mutexes) at the same thread count.
-void BM_ThreadedIngestSharded(benchmark::State &State) {
-  static IngestHarness *Harness = nullptr;
-  if (State.thread_index() == 0)
-    Harness = new IngestHarness(LinesPerIngestThread * State.threads());
-
-  uint64_t SliceBase =
-      0x4000'0000 +
-      uint64_t(State.thread_index()) * LinesPerIngestThread * 64;
-  SplitMix64 Rng(700 + State.thread_index());
-  pmu::Sample Sample;
-  for (auto _ : State) {
-    Sample.Address =
-        SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-        Rng.nextBelow(16) * 4;
-    Sample.Tid =
-        static_cast<ThreadId>(State.thread_index() * 4 + Rng.nextBelow(4));
-    Sample.IsWrite = Rng.nextBool(0.7);
-    Sample.LatencyCycles = 40;
-    ingestSampleSharded(*Harness, Sample);
-  }
-  State.SetItemsProcessed(State.iterations());
-
-  if (State.thread_index() == 0) {
-    Harness->Shadow.quiesce(); // the epoch merge is part of the design
-    delete Harness;
-    Harness = nullptr;
-  }
-}
-BENCHMARK(BM_ThreadedIngestSharded)->ThreadRange(1, 8)->UseRealTime();
-
 //===----------------------------------------------------------------------===//
 // Page-granularity (NUMA) hot path
 //===----------------------------------------------------------------------===//
@@ -450,9 +340,7 @@ BENCHMARK(BM_PageInfoContended)->ThreadRange(1, 8)->UseRealTime();
 
 /// Aggregate ingest throughput with the page stage on (line + page): the
 /// page-mode counterpart of BM_ThreadedIngest, comparable row-for-row to
-/// measure what the second granularity costs, in both CHEETAH_LOCKED_TABLE
-/// build modes (the locked build serializes page detail through the
-/// striped page mutexes exactly like the line path).
+/// measure what the second granularity costs.
 void BM_ThreadedIngestPageMode(benchmark::State &State) {
   struct PageHarness {
     NumaTopology Topology{2, 4096};
@@ -613,16 +501,13 @@ struct IngestSweepRow {
 };
 
 /// Runs \p SamplesPerThread samples on each of \p Threads threads through
-/// one ingestion mode and returns the timed row. Sample generation and
-/// slice layout match the BM_ThreadedIngest* benchmarks; all threads
-/// start on a barrier so the wall-clock window covers only ingestion
-/// (plus, for the sharded mode, the epoch merge — it is part of that
-/// design's cost).
+/// one ingestion mode ("shared": per-sample handleSample, "batched":
+/// handleBatch) and returns the timed row. Sample generation and slice
+/// layout match the BM_ThreadedIngest* benchmarks; all threads start on a
+/// barrier so the wall-clock window covers only ingestion.
 IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
                               uint64_t SamplesPerThread) {
   IngestHarness Harness(LinesPerIngestThread * Threads);
-  constexpr size_t StripeCount = 64;
-  std::vector<std::mutex> Stripes(StripeCount);
 
   std::atomic<bool> Go{false};
   std::vector<std::thread> Workers;
@@ -660,16 +545,7 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
         Sample.Tid = static_cast<ThreadId>(T * 4 + Rng.nextBelow(4));
         Sample.IsWrite = Rng.nextBool(0.7);
         Sample.LatencyCycles = 40;
-        if (Mode == "shared") {
-          benchmark::DoNotOptimize(Harness.Detect.handleSample(Sample, true));
-        } else if (Mode == "locked") {
-          uint64_t Line = Sample.Address >> 6;
-          std::lock_guard<std::mutex> Lock(
-              Stripes[(Line * 0x9e3779b97f4a7c15ull) >> 58]);
-          benchmark::DoNotOptimize(Harness.Detect.handleSample(Sample, true));
-        } else {
-          ingestSampleSharded(Harness, Sample);
-        }
+        benchmark::DoNotOptimize(Harness.Detect.handleSample(Sample, true));
       }
     });
 
@@ -677,8 +553,6 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
   Go.store(true, std::memory_order_release);
   for (std::thread &Worker : Workers)
     Worker.join();
-  if (Mode == "sharded")
-    Harness.Shadow.quiesce();
   auto End = std::chrono::steady_clock::now();
 
   IngestSweepRow Row;
@@ -689,11 +563,8 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
   return Row;
 }
 
-/// One row of the decode-kernel sweep: the \p Kernel decode path at
-/// \p Batch samples per decode() call.
+/// One row of the decode sweep: \p Batch samples per decode() call.
 struct DecodeSweepRow {
-  std::string Kernel;    // requested: "scalar" or "simd"
-  std::string Effective; // kernel actually dispatched to
   size_t Batch = 0;
   uint64_t Samples = 0;
   double Seconds = 0.0;
@@ -701,17 +572,12 @@ struct DecodeSweepRow {
 
 /// Times the pure decode front (coverage + word/span arithmetic) over a
 /// pregenerated sample stream at one batch size, single-threaded — the
-/// isolated kernel cost behind the batched mode's first stage. The "simd"
-/// request silently degrades to scalar when the AVX2 kernel is compiled
-/// out or unsupported (the Effective field records what actually ran), so
-/// the sweep emits the same row set in every build.
-DecodeSweepRow runDecodeSweep(const std::string &Kernel, size_t Batch,
-                              uint64_t TotalSamples) {
+/// isolated decode cost behind the batched mode's first stage.
+DecodeSweepRow runDecodeSweep(size_t Batch, uint64_t TotalSamples) {
   CacheGeometry Geometry(64);
   std::vector<core::ShadowRegion> Regions{
       {0x4000'0000, LinesPerIngestThread * 64}};
-  core::BatchDecoder Decoder(Geometry, Regions,
-                             /*ForceScalar=*/Kernel == "scalar");
+  core::BatchDecoder Decoder(Geometry, Regions);
 
   SplitMix64 Rng(1200);
   std::vector<pmu::Sample> Samples(core::DecodedBatch::Capacity);
@@ -736,8 +602,6 @@ DecodeSweepRow runDecodeSweep(const std::string &Kernel, size_t Batch,
   auto End = std::chrono::steady_clock::now();
 
   DecodeSweepRow Row;
-  Row.Kernel = Kernel;
-  Row.Effective = core::decodeKernelName(Decoder.kernel());
   Row.Batch = Batch;
   Row.Samples = Done;
   Row.Seconds = std::chrono::duration<double>(End - Start).count();
@@ -769,14 +633,13 @@ IngestSweepRow runReplaySweep(uint64_t TotalSamples) {
   return Row;
 }
 
-/// Writes the shared/locked/sharded/batched x 1..8-thread sweep, the
-/// single-threaded trace-replay row, plus the decode-kernel dimension to
-/// \p Path as the `cheetah-bench-ingest-v3` document. \returns false on
-/// I/O failure.
+/// Writes the shared/batched x 1..8-thread sweep, the single-threaded
+/// trace-replay row, plus the decode dimension to \p Path as the
+/// `cheetah-bench-ingest-v4` document. \returns false on I/O failure.
 bool emitIngestJson(const std::string &Path) {
   constexpr uint64_t SamplesPerThread = 1'000'000;
   std::vector<IngestSweepRow> Rows;
-  for (const char *Mode : {"shared", "locked", "sharded", "batched"})
+  for (const char *Mode : {"shared", "batched"})
     for (unsigned Threads = 1; Threads <= 8; ++Threads) {
       Rows.push_back(runIngestSweep(Mode, Threads, SamplesPerThread));
       std::fprintf(stderr, "%-7s %u threads: %.1fM samples/sec/core\n",
@@ -791,32 +654,19 @@ bool emitIngestJson(const std::string &Path) {
 
   constexpr uint64_t DecodeSamples = 64'000'000;
   std::vector<DecodeSweepRow> DecodeRows;
-  for (const char *Kernel : {"scalar", "simd"})
-    for (size_t Batch : {size_t(1), size_t(16), size_t(64), size_t(256)}) {
-      DecodeRows.push_back(runDecodeSweep(Kernel, Batch, DecodeSamples));
-      std::fprintf(stderr, "decode %-6s (%s) batch %-3zu: %.0fM samples/sec\n",
-                   Kernel, DecodeRows.back().Effective.c_str(), Batch,
-                   static_cast<double>(DecodeRows.back().Samples) /
-                       DecodeRows.back().Seconds / 1e6);
-    }
+  for (size_t Batch : {size_t(1), size_t(16), size_t(64), size_t(256)}) {
+    DecodeRows.push_back(runDecodeSweep(Batch, DecodeSamples));
+    std::fprintf(stderr, "decode batch %-3zu: %.0fM samples/sec\n", Batch,
+                 static_cast<double>(DecodeRows.back().Samples) /
+                     DecodeRows.back().Seconds / 1e6);
+  }
 
   std::string Text;
   JsonWriter Writer(Text);
   Writer.beginObject();
-  Writer.member("schema", "cheetah-bench-ingest-v3");
-#if CHEETAH_SHARDED_TABLE
-  Writer.member("build_mode", "sharded-table");
-#elif CHEETAH_LOCKED_TABLE
-  Writer.member("build_mode", "locked-table");
-#else
-  Writer.member("build_mode", "lock-free");
-#endif
+  Writer.member("schema", "cheetah-bench-ingest-v4");
   Writer.member("samples_per_thread", SamplesPerThread);
   Writer.member("lines_per_thread", LinesPerIngestThread);
-  Writer.member("simd_available", core::BatchDecoder::simdAvailable());
-  Writer.member("decode_kernel",
-                core::decodeKernelName(
-                    core::BatchDecoder(CacheGeometry(64), {}).kernel()));
   Writer.key("results");
   Writer.beginArray();
   for (const IngestSweepRow &Row : Rows) {
@@ -835,8 +685,6 @@ bool emitIngestJson(const std::string &Path) {
   for (const DecodeSweepRow &Row : DecodeRows) {
     Writer.beginObject();
     Writer.member("mode", "decode");
-    Writer.member("kernel", Row.Kernel);
-    Writer.member("effective_kernel", Row.Effective);
     Writer.member("batch", static_cast<uint64_t>(Row.Batch));
     Writer.member("samples", Row.Samples);
     Writer.member("seconds", Row.Seconds);
@@ -861,16 +709,6 @@ bool emitIngestJson(const std::string &Path) {
 } // namespace
 
 int main(int argc, char **argv) {
-  // Announce the build's detection mode so sweeps over both
-  // CHEETAH_LOCKED_TABLE configurations label their output unambiguously.
-  // On stderr: stdout must stay parseable under --benchmark_format=json.
-#if CHEETAH_LOCKED_TABLE
-  std::fprintf(stderr,
-               "cheetah detect mode: locked-table (PR-1 striped mutexes)\n");
-#else
-  std::fprintf(stderr,
-               "cheetah detect mode: lock-free (packed CAS table)\n");
-#endif
   // The dedicated ingest sweep replaces the google-benchmark run when
   // requested: deterministic sample streams, explicit timing, one JSON
   // document for the checked-in trajectory.

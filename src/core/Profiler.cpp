@@ -216,19 +216,15 @@ ReportRunStats Profiler::runStats(uint64_t AppRuntime) const {
 
 ProfileResult Profiler::finish(const sim::SimulationResult &Run,
                                ReportSink *Sink) {
-  // Epoch quiesce before any grain is read: in the sharded build this
-  // folds every per-thread shard back into the shared tables (and proves
-  // conservation); in the other builds it is a cheap no-op. The simulator
-  // has joined every thread by now, so no ingestion races the merge.
-  Detect.quiesce();
+  // The simulator has joined every thread by now, so no ingestion races
+  // the report build.
   return buildReport(Run.TotalCycles, Sink);
 }
 
 ProfileResult Profiler::snapshotEpoch(uint64_t AppRuntime, ReportSink *Sink) {
   // Same fence as finish(): the caller guarantees no ingestion threads are
-  // in flight, so the shard merge (sharded build) and the eviction sweep
-  // below never race sample delivery.
-  Detect.quiesce();
+  // in flight, so the report build and the eviction sweep below never race
+  // sample delivery.
   // Report first over the full epoch state, then trim: the snapshot the
   // caller streams out sees every grain that was live this epoch; only the
   // *next* epoch pays the eviction.
@@ -251,7 +247,7 @@ ProfileResult Profiler::buildReport(uint64_t AppRuntime, ReportSink *Sink) {
   Assessor Assess(Threads, Phases, Config.Assess);
   Assess.setSerialLatencyStats(SerialLatency);
 
-  // Feed every materialized line to the incremental builder as it quiesces,
+  // Feed every materialized line to the incremental builder,
   // then let the builder assess, gate, sort, and stream the findings.
   ReportBuilder Builder(Heap, Globals, Callsites, Classifier,
                         Config.Geometry, Config.Report);

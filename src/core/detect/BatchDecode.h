@@ -1,4 +1,4 @@
-//===- core/detect/BatchDecode.h - Vectorized sample decode -----*- C++ -*-===//
+//===- core/detect/BatchDecode.h - Batched sample decode --------*- C++ -*-===//
 //
 // Part of the Cheetah reproduction. MIT license.
 //
@@ -9,13 +9,10 @@
 /// of pmu::Sample records into struct-of-arrays decoded line coordinates —
 /// per sample a monitored-region coverage flag, the 4-byte word bucket, and
 /// the word span with branchless end-of-line clamping for line-straddling
-/// accesses. Decoding is pure integer arithmetic over the sample addresses,
-/// so it vectorizes: a runtime-dispatched AVX2 kernel processes four
-/// samples per step (gathered straight out of the AoS batch), with a
-/// bit-identical scalar fallback for other CPUs. Building with
-/// -DCHEETAH_FORCE_SCALAR=ON compiles the AVX2 kernel out entirely, which
-/// makes kernel equivalence an executable gate: the forced-scalar build
-/// must reproduce every golden report byte for byte.
+/// accesses. Decoding is pure integer arithmetic over the sample addresses
+/// in one tight loop with no data-dependent branches, so the compiler is
+/// free to vectorize it; it must agree bit for bit with the per-sample
+/// decode in Detector::handleSample.
 ///
 /// The decoded arrays feed Detector::handleBatch's later stages: the
 /// coverage flags gate the stage-1 write-count sweep, and bucket/span are
@@ -36,13 +33,6 @@
 namespace cheetah {
 namespace core {
 
-/// Which decode kernel a BatchDecoder dispatches to. Selected once at
-/// construction; never per batch.
-enum class DecodeKernel { Scalar, Avx2 };
-
-/// \returns the kernel's stable display name ("scalar" / "avx2").
-const char *decodeKernelName(DecodeKernel Kernel);
-
 /// Struct-of-arrays decoded records for one sample chunk. Fixed capacity so
 /// the scratch lives in per-thread storage with zero per-batch allocation;
 /// callers chunk larger batches.
@@ -60,19 +50,11 @@ struct DecodedBatch {
 };
 
 /// Decodes sample batches over one line geometry and one set of monitored
-/// regions. Construction picks the widest kernel the CPU supports (unless
-/// \p ForceScalar or the CHEETAH_FORCE_SCALAR build); decode() then
-/// dispatches with no per-call probing.
+/// regions.
 class BatchDecoder {
 public:
   BatchDecoder(const CacheGeometry &Geometry,
-               std::vector<ShadowRegion> Regions, bool ForceScalar = false);
-
-  /// \returns true if the AVX2 kernel is compiled in and this CPU runs it.
-  static bool simdAvailable();
-
-  /// The kernel decode() dispatches to.
-  DecodeKernel kernel() const { return Kernel; }
+               std::vector<ShadowRegion> Regions);
 
   /// Decodes \p Count samples (at most DecodedBatch::Capacity) into \p Out.
   /// \p AccessBytes is the access width shared by the batch; 0 is treated
@@ -81,18 +63,10 @@ public:
               DecodedBatch &Out) const;
 
 private:
-  void decodeScalar(const pmu::Sample *Samples, size_t Begin, size_t Count,
-                    uint8_t AccessBytes, DecodedBatch &Out) const;
-#if defined(__x86_64__) && !defined(CHEETAH_FORCE_SCALAR)
-  void decodeAvx2(const pmu::Sample *Samples, size_t Count,
-                  uint8_t AccessBytes, DecodedBatch &Out) const;
-#endif
-
   /// lineSize() - 1: both the offset-in-line mask and the last valid byte
   /// offset the straddling clamp saturates to.
   uint64_t LineMask;
   std::vector<ShadowRegion> Regions;
-  DecodeKernel Kernel;
 };
 
 } // namespace core

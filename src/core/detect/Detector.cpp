@@ -53,7 +53,7 @@ BatchScratch &batchScratch() {
 struct Detector::LineStage {
   Detector &D;
   uint8_t AccessBytes;
-  /// Vector-decoded coordinates when running under the batch pipeline.
+  /// Batch-decoded coordinates when running under the batch pipeline.
   const DecodedBatch *Batch = nullptr;
 
   struct Prep {};
@@ -81,7 +81,7 @@ struct Detector::LineStage {
 
   // Batch pipeline hooks: stage-1 state to pull ahead of the counter
   // sweep, per-sample preparation (none at line grain), and the decoded
-  // coordinates — already computed data-parallel for the whole chunk.
+  // coordinates — already computed for the whole chunk in one pass.
   void prefetchStage1(uint64_t Address) { D.Shadow.prefetchWriteCounter(Address); }
   void prepareAt(size_t, const pmu::Sample &) {}
   Decoded decodeAt(size_t I, const pmu::Sample &Sample) {
@@ -186,11 +186,8 @@ bool Detector::runGrainStage(Stage &S, const pmu::Sample &Sample,
   }
 
   auto Decoded = S.decode(Sample, Prep);
-  // The table dispatches to the build's ingestion mode: the default
-  // lock-free shared path, the striped-mutex A/B path, or the per-thread
-  // shard path merged at quiesce().
-  bool Invalidation = Table.record(
-      Sample.Address, *Info, Sample.Tid, Decoded.Actor,
+  bool Invalidation = Info->record(
+      Sample.Tid, Decoded.Actor,
       Sample.IsWrite ? AccessKind::Write : AccessKind::Read, Decoded.Bucket,
       Decoded.Span, Sample.LatencyCycles, Decoded.Ctx);
   S.tally(Invalidation, Decoded);
@@ -249,9 +246,9 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
     Scratch.Infos[J] = Table.detail(Samples[Scratch.Kept[J]].Address);
   }
 
-  // Record sweep: prefetch the grain records themselves ahead, then run
-  // the mode-dispatched record in original batch order (per-grain record
-  // order is what keeps reports byte-identical with per-sample delivery).
+  // Record sweep: prefetch the grain records themselves ahead, then record
+  // in original batch order (per-grain record order is what keeps reports
+  // byte-identical with per-sample delivery).
   for (size_t J = 0; J < NumKept; ++J) {
     size_t Ahead = J + PrefetchDistance;
     if (Ahead < NumKept && Scratch.Infos[Ahead])
@@ -262,8 +259,8 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
     if (!Info)
       Info = &Table.materializeDetail(Sample.Address);
     auto Decoded = S.decodeAt(I, Sample);
-    bool Invalidation = Table.record(
-        Sample.Address, *Info, Sample.Tid, Decoded.Actor,
+    bool Invalidation = Info->record(
+        Sample.Tid, Decoded.Actor,
         Sample.IsWrite ? AccessKind::Write : AccessKind::Read, Decoded.Bucket,
         Decoded.Span, Sample.LatencyCycles, Decoded.Ctx);
     S.tally(Invalidation, Decoded);
@@ -280,8 +277,8 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
     size_t Chunk = std::min(Count - Offset, DecodedBatch::Capacity);
     const pmu::Sample *ChunkSamples = Samples + Offset;
 
-    // Vector decode of the whole chunk: coverage flags plus word/span line
-    // coordinates, through the runtime-dispatched kernel.
+    // Decode the whole chunk: coverage flags plus word/span line
+    // coordinates.
     LineDecoder.decode(ChunkSamples, Chunk, AccessBytes, Scratch.Decode);
 
     SamplesSeen.fetch_add(Chunk, std::memory_order_relaxed);
@@ -330,33 +327,6 @@ bool Detector::handleSample(const pmu::Sample &Sample, bool InParallelPhase,
   LineStage Stage{*this, AccessBytes};
   bool LineRecorded = runGrainStage(Stage, Sample, InParallelPhase);
   return LineRecorded || PageRecorded;
-}
-
-void Detector::quiesce() {
-  MergedLines += Shadow.quiesce();
-  if (Pages)
-    MergedPages += Pages->quiesce();
-#if CHEETAH_SHARDED_TABLE
-  // In the sharded build every detailed record went through a shard, so
-  // the cumulative merge totals must conserve exactly against the shared
-  // counters the detector kept alongside — the proof that no sample was
-  // lost between a shard and the shared table.
-  CHEETAH_ASSERT(MergedLines.Accesses ==
-                     SamplesRecorded.load(std::memory_order_relaxed),
-                 "sharded merge lost line samples");
-  CHEETAH_ASSERT(MergedLines.Invalidations ==
-                     Invalidations.load(std::memory_order_relaxed),
-                 "sharded merge lost line invalidations");
-  CHEETAH_ASSERT(MergedPages.Accesses ==
-                     PageSamplesRecorded.load(std::memory_order_relaxed),
-                 "sharded merge lost page samples");
-  CHEETAH_ASSERT(MergedPages.Invalidations ==
-                     PageInvalidations.load(std::memory_order_relaxed),
-                 "sharded merge lost cross-node invalidations");
-  CHEETAH_ASSERT(MergedPages.RemoteAccesses ==
-                     RemoteSamples.load(std::memory_order_relaxed),
-                 "sharded merge lost remote samples");
-#endif
 }
 
 std::vector<GrainStageSummary> Detector::stageSummaries() const {

@@ -28,7 +28,7 @@ ThreadStatsChain::~ThreadStatsChain() {
   }
 }
 
-void ThreadStatsChain::add(ThreadId Tid, uint64_t Accesses, uint64_t Cycles) {
+void ThreadStatsChain::record(ThreadId Tid, uint64_t LatencyCycles) {
   Chunk *Node = &First;
   for (;;) {
     for (size_t I = 0; I < Chunk::Capacity; ++I) {
@@ -40,8 +40,8 @@ void ThreadStatsChain::add(ThreadId Tid, uint64_t Accesses, uint64_t Cycles) {
       // On CAS failure `Slot` holds the claiming thread's id, which may
       // still be ours if another ingester raced the same sample tid.
       if (Slot == Tid) {
-        Node->Accesses[I].fetch_add(Accesses, std::memory_order_relaxed);
-        Node->Cycles[I].fetch_add(Cycles, std::memory_order_relaxed);
+        Node->Accesses[I].fetch_add(1, std::memory_order_relaxed);
+        Node->Cycles[I].fetch_add(LatencyCycles, std::memory_order_relaxed);
         return;
       }
     }
@@ -117,22 +117,6 @@ void AtomicBucketStats::record(uint32_t Actor, AccessKind Kind,
     MultiActor.store(true, std::memory_order_relaxed);
 }
 
-void AtomicBucketStats::merge(const ShardBucketStats &Bucket) {
-  if (Bucket.Reads == 0 && Bucket.Writes == 0)
-    return; // untouched in this shard
-  Reads.fetch_add(Bucket.Reads, std::memory_order_relaxed);
-  Writes.fetch_add(Bucket.Writes, std::memory_order_relaxed);
-  if (Bucket.Cycles)
-    Cycles.fetch_add(Bucket.Cycles, std::memory_order_relaxed);
-  uint32_t First = FirstActor.load(std::memory_order_relaxed);
-  if (First == NoActor &&
-      FirstActor.compare_exchange_strong(First, Bucket.FirstActor,
-                                         std::memory_order_relaxed))
-    First = Bucket.FirstActor;
-  if (First != Bucket.FirstActor || Bucket.MultiActor)
-    MultiActor.store(true, std::memory_order_relaxed);
-}
-
 WordStats AtomicBucketStats::snapshot() const {
   WordStats Result;
   Result.Reads = Reads.load(std::memory_order_relaxed);
@@ -141,32 +125,6 @@ WordStats AtomicBucketStats::snapshot() const {
   Result.FirstThread = FirstActor.load(std::memory_order_relaxed);
   Result.MultiThread = MultiActor.load(std::memory_order_relaxed);
   return Result;
-}
-
-void PageShardExtras::record(NodeId Node, AccessKind Kind,
-                             uint64_t LatencyCycles,
-                             const PageAccessContext &Ctx) {
-  CHEETAH_ASSERT(Node < NumaTopology::MaxNodes, "node id out of range");
-  if (Ctx.Remote) {
-    RemoteAccesses += 1;
-    RemoteCycles += LatencyCycles;
-    uint32_t Distance =
-        Ctx.Distance ? Ctx.Distance : NumaTopology::DefaultRemoteDistance;
-    auto It = std::find_if(Remote.begin(), Remote.end(),
-                           [Distance](const RemoteDistanceStats &Slot) {
-                             return Slot.Distance == Distance;
-                           });
-    if (It == Remote.end()) {
-      Remote.push_back({Distance, 0, 0});
-      It = Remote.end() - 1;
-    }
-    It->Accesses += 1;
-    It->Cycles += LatencyCycles;
-  }
-  NodeAccesses[Node] += 1;
-  if (Kind == AccessKind::Write)
-    NodeWrites[Node] += 1;
-  NodeCycles[Node] += LatencyCycles;
 }
 
 PageGrainExtras::PageGrainExtras() {
@@ -190,7 +148,7 @@ void PageGrainExtras::record(NodeId Node, AccessKind Kind,
     // into the default remote distance.
     bucketRemote(Ctx.Distance ? Ctx.Distance
                               : NumaTopology::DefaultRemoteDistance,
-                 1, LatencyCycles);
+                 LatencyCycles);
   }
   NodeAccesses[Node].fetch_add(1, std::memory_order_relaxed);
   if (Kind == AccessKind::Write)
@@ -198,24 +156,7 @@ void PageGrainExtras::record(NodeId Node, AccessKind Kind,
   NodeCycles[Node].fetch_add(LatencyCycles, std::memory_order_relaxed);
 }
 
-void PageGrainExtras::merge(const PageShardExtras &Shard) {
-  RemoteAccesses.fetch_add(Shard.RemoteAccesses, std::memory_order_relaxed);
-  RemoteCycles.fetch_add(Shard.RemoteCycles, std::memory_order_relaxed);
-  for (const RemoteDistanceStats &Slot : Shard.Remote)
-    bucketRemote(Slot.Distance, Slot.Accesses, Slot.Cycles);
-  for (uint32_t N = 0; N < NumaTopology::MaxNodes; ++N) {
-    if (Shard.NodeAccesses[N])
-      NodeAccesses[N].fetch_add(Shard.NodeAccesses[N],
-                                std::memory_order_relaxed);
-    if (Shard.NodeWrites[N])
-      NodeWrites[N].fetch_add(Shard.NodeWrites[N], std::memory_order_relaxed);
-    if (Shard.NodeCycles[N])
-      NodeCycles[N].fetch_add(Shard.NodeCycles[N], std::memory_order_relaxed);
-  }
-}
-
-void PageGrainExtras::bucketRemote(uint32_t Distance, uint64_t Accesses,
-                                   uint64_t Cycles) {
+void PageGrainExtras::bucketRemote(uint32_t Distance, uint64_t Cycles) {
   for (AtomicDistanceStats &Slot : DistanceSlots) {
     uint32_t Current = Slot.Distance.load(std::memory_order_relaxed);
     if (Current == 0 &&
@@ -225,7 +166,7 @@ void PageGrainExtras::bucketRemote(uint32_t Distance, uint64_t Accesses,
     // On CAS failure `Current` holds the distance that won the slot.
     if (Current != Distance)
       continue;
-    Slot.Accesses.fetch_add(Accesses, std::memory_order_relaxed);
+    Slot.Accesses.fetch_add(1, std::memory_order_relaxed);
     if (Cycles)
       Slot.Cycles.fetch_add(Cycles, std::memory_order_relaxed);
     return;
@@ -236,7 +177,7 @@ void PageGrainExtras::bucketRemote(uint32_t Distance, uint64_t Accesses,
   // degrades but the accesses/cycles conservation against remoteAccesses()
   // survives.
   DistanceSlots[NumaTopology::MaxNodes - 1].Accesses.fetch_add(
-      Accesses, std::memory_order_relaxed);
+      1, std::memory_order_relaxed);
   if (Cycles)
     DistanceSlots[NumaTopology::MaxNodes - 1].Cycles.fetch_add(
         Cycles, std::memory_order_relaxed);

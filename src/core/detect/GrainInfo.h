@@ -23,19 +23,8 @@
 ///
 /// Every mutable field is a relaxed atomic and the table transition is a
 /// single-word CAS, so `record` is lock-free from any number of ingesting
-/// threads. Readers that run after ingestion quiesces (report generation,
+/// threads. Readers that run after ingestion stops (report generation,
 /// tests) take plain value snapshots.
-///
-/// Each grain additionally knows how to accumulate into and merge from a
-/// per-thread **shard record** (`GrainShardRecord<Traits>`): plain,
-/// single-writer fields a thread fills without any cross-thread CAS
-/// traffic, folded back into the shared atomics at epoch quiesce. Only the
-/// additive statistics shard; the two-entry table stays shared because the
-/// invalidation decision depends on the global interleaving of actors,
-/// which is also what makes the merge *provable* — merged totals must
-/// conserve against the shared-table counters. The shard machinery is
-/// always compiled; `CHEETAH_SHARDED_TABLE` only switches the detector's
-/// ingestion dispatch onto it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,13 +105,7 @@ public:
 
   /// Finds (or claims) \p Tid's slot and accumulates one access. Lock-free;
   /// safe from any number of ingesting threads.
-  void record(ThreadId Tid, uint64_t LatencyCycles) {
-    add(Tid, 1, LatencyCycles);
-  }
-
-  /// Bulk variant: accumulates \p Accesses accesses and \p Cycles cycles in
-  /// one claim — how a merged shard folds its per-thread totals back in.
-  void add(ThreadId Tid, uint64_t Accesses, uint64_t Cycles);
+  void record(ThreadId Tid, uint64_t LatencyCycles);
 
   /// Value snapshot of every claimed slot, ordered by thread id.
   std::vector<ThreadLineStats> snapshot() const;
@@ -149,30 +132,6 @@ private:
   Chunk First;
 };
 
-/// One bucket's single-writer accumulation inside a shard: the plain-field
-/// mirror of AtomicBucketStats. FirstActor/MultiActor are tracked per
-/// shard and reconciled at merge (first merged shard to publish wins,
-/// disagreement marks the bucket multi-actor).
-struct ShardBucketStats {
-  uint64_t Reads = 0;
-  uint64_t Writes = 0;
-  uint64_t Cycles = 0;
-  uint32_t FirstActor = NoActor;
-  bool MultiActor = false;
-
-  void record(uint32_t Actor, AccessKind Kind, uint64_t LatencyCycles) {
-    if (Kind == AccessKind::Read)
-      ++Reads;
-    else
-      ++Writes;
-    Cycles += LatencyCycles;
-    if (FirstActor == NoActor)
-      FirstActor = Actor;
-    else if (FirstActor != Actor)
-      MultiActor = true;
-  }
-};
-
 /// Atomic backing store for one histogram bucket (per-word at line
 /// granularity with thread actors, per-line at page granularity with node
 /// actors).
@@ -184,7 +143,6 @@ struct AtomicBucketStats {
   std::atomic<bool> MultiActor{false};
 
   void record(uint32_t Actor, AccessKind Kind, uint64_t LatencyCycles);
-  void merge(const ShardBucketStats &Bucket);
   WordStats snapshot() const;
 };
 
@@ -212,40 +170,12 @@ struct PageAccessContext {
   uint32_t Distance = 0;
 };
 
-/// Line-grain shard extras: nothing beyond the generic shard fields.
-struct LineShardExtras {
-  void record(uint32_t, AccessKind, uint64_t, const LineAccessContext &) {}
-  uint64_t remoteAccesses() const { return 0; }
-  size_t heapBytes() const { return 0; }
-};
-
 /// Line-grain per-grain extras: empty (overlaid via [[no_unique_address]]
 /// so the line record stays exactly as wide as before the generalization —
 /// the shadow-bytes accounting the goldens embed depends on it).
 struct LineGrainExtras {
   void record(uint32_t, AccessKind, uint64_t, const LineAccessContext &) {}
-  void merge(const LineShardExtras &) {}
   uint64_t remoteAccesses() const { return 0; }
-};
-
-/// Page-grain shard extras: single-writer mirrors of the remote-traffic
-/// totals, per-node accumulators, and distance buckets.
-struct PageShardExtras {
-  uint64_t RemoteAccesses = 0;
-  uint64_t RemoteCycles = 0;
-  uint64_t NodeAccesses[NumaTopology::MaxNodes] = {};
-  uint64_t NodeWrites[NumaTopology::MaxNodes] = {};
-  uint64_t NodeCycles[NumaTopology::MaxNodes] = {};
-  /// Remote traffic per crossed distance, in arrival order (at most
-  /// MaxNodes - 1 distinct distances exist under a settled home).
-  std::vector<RemoteDistanceStats> Remote;
-
-  void record(NodeId Node, AccessKind Kind, uint64_t LatencyCycles,
-              const PageAccessContext &Ctx);
-  uint64_t remoteAccesses() const { return RemoteAccesses; }
-  size_t heapBytes() const {
-    return Remote.capacity() * sizeof(RemoteDistanceStats);
-  }
 };
 
 /// Page-grain per-grain extras: everything the NUMA story needs beyond the
@@ -276,7 +206,6 @@ struct PageGrainExtras {
 
   void record(NodeId Node, AccessKind Kind, uint64_t LatencyCycles,
               const PageAccessContext &Ctx);
-  void merge(const PageShardExtras &Shard);
 
   uint64_t remoteAccesses() const {
     return RemoteAccesses.load(std::memory_order_relaxed);
@@ -289,8 +218,8 @@ struct PageGrainExtras {
   size_t nodeCount() const;
 
 private:
-  /// Adds remote samples to their distance bucket (lock-free).
-  void bucketRemote(uint32_t Distance, uint64_t Accesses, uint64_t Cycles);
+  /// Adds one remote sample to its distance bucket (lock-free).
+  void bucketRemote(uint32_t Distance, uint64_t Cycles);
 };
 
 /// The line grain: threads invalidate each other's cache lines; buckets
@@ -299,7 +228,6 @@ struct LineGrainTraits {
   using ActorId = ThreadId;
   using Context = LineAccessContext;
   using Extras = LineGrainExtras;
-  using ShardExtras = LineShardExtras;
   static constexpr const char *Name = "line";
   static constexpr const char *BucketRangeMsg = "word index outside line";
   static constexpr const char *SpanMsg = "access must cover at least one word";
@@ -311,25 +239,9 @@ struct PageGrainTraits {
   using ActorId = NodeId;
   using Context = PageAccessContext;
   using Extras = PageGrainExtras;
-  using ShardExtras = PageShardExtras;
   static constexpr const char *Name = "page";
   static constexpr const char *BucketRangeMsg = "line index outside page";
   static constexpr const char *SpanMsg = "access must cover at least one line";
-};
-
-/// One grain's single-writer accumulation inside a per-thread shard: plain
-/// fields only, keyed by grain base address in the owning shard's map.
-/// Buckets are sized lazily on first touch so untouched grains cost one
-/// map node, not a full histogram.
-template <typename Traits> struct GrainShardRecord {
-  uint64_t Accesses = 0;
-  uint64_t Writes = 0;
-  uint64_t Cycles = 0;
-  uint64_t Invalidations = 0;
-  std::vector<ShardBucketStats> Buckets;
-  /// Sorted by tid; thread populations per grain are tiny.
-  std::vector<ThreadLineStats> Threads;
-  [[no_unique_address]] typename Traits::ShardExtras Extras;
 };
 
 /// Everything Cheetah tracks about one susceptible grain, parameterized by
@@ -338,7 +250,6 @@ template <typename Traits> class GrainInfo {
 public:
   using ActorId = typename Traits::ActorId;
   using Context = typename Traits::Context;
-  using ShardRecord = GrainShardRecord<Traits>;
 
   explicit GrainInfo(uint64_t BucketsPerGrain)
       : Buckets(std::make_unique<AtomicBucketStats[]>(BucketsPerGrain)),
@@ -377,62 +288,6 @@ public:
     return Invalidation;
   }
 
-  /// Sharded-mode record: the invalidation decision still goes through the
-  /// shared two-entry table (it depends on the global actor interleaving,
-  /// which no per-thread shard can see alone), but every additive
-  /// statistic lands in \p Record — plain fields only this thread writes,
-  /// with no cross-thread CAS traffic. Fold back with mergeShard at epoch
-  /// quiesce.
-  bool recordShard(ShardRecord &Record, ThreadId Tid, ActorId Actor,
-                   AccessKind Kind, uint64_t BucketIndex, uint64_t BucketSpan,
-                   uint64_t LatencyCycles, const Context &Ctx = {}) {
-    CHEETAH_ASSERT(BucketIndex < BucketCount, Traits::BucketRangeMsg);
-    CHEETAH_ASSERT(BucketSpan >= 1, Traits::SpanMsg);
-
-    bool Invalidation = Table.recordAccess(Actor, Kind);
-    if (Invalidation)
-      ++Record.Invalidations;
-
-    ++Record.Accesses;
-    if (Kind == AccessKind::Write)
-      ++Record.Writes;
-    Record.Cycles += LatencyCycles;
-    Record.Extras.record(Actor, Kind, LatencyCycles, Ctx);
-
-    if (Record.Buckets.empty())
-      Record.Buckets.resize(BucketCount);
-    uint64_t End = std::min<uint64_t>(BucketIndex + BucketSpan, BucketCount);
-    for (uint64_t B = BucketIndex; B < End; ++B)
-      Record.Buckets[B].record(Actor, Kind, B == BucketIndex ? LatencyCycles : 0);
-
-    auto It = std::lower_bound(
-        Record.Threads.begin(), Record.Threads.end(), Tid,
-        [](const ThreadLineStats &Slot, ThreadId T) { return Slot.Tid < T; });
-    if (It == Record.Threads.end() || It->Tid != Tid)
-      It = Record.Threads.insert(It, ThreadLineStats{Tid, 0, 0});
-    It->Accesses += 1;
-    It->Cycles += LatencyCycles;
-    return Invalidation;
-  }
-
-  /// Folds one shard's accumulation back into the shared atomics. Callers
-  /// serialize merges against ingestion (epoch quiesce); merging itself may
-  /// race other readers safely since every target is atomic.
-  void mergeShard(const ShardRecord &Record) {
-    CHEETAH_ASSERT(Record.Buckets.empty() ||
-                       Record.Buckets.size() == BucketCount,
-                   "shard bucket count does not match the grain");
-    Invalidations.fetch_add(Record.Invalidations, std::memory_order_relaxed);
-    Accesses.fetch_add(Record.Accesses, std::memory_order_relaxed);
-    Writes.fetch_add(Record.Writes, std::memory_order_relaxed);
-    Cycles.fetch_add(Record.Cycles, std::memory_order_relaxed);
-    ExtraStats.merge(Record.Extras);
-    for (size_t B = 0; B < Record.Buckets.size(); ++B)
-      Buckets[B].merge(Record.Buckets[B]);
-    for (const ThreadLineStats &Thread : Record.Threads)
-      ThreadStats.add(Thread.Tid, Thread.Accesses, Thread.Cycles);
-  }
-
   /// Invalidation count (the significance signal).
   uint64_t invalidations() const {
     return Invalidations.load(std::memory_order_relaxed);
@@ -446,7 +301,7 @@ public:
   uint64_t cycles() const { return Cycles.load(std::memory_order_relaxed); }
 
   /// Value snapshot of the per-bucket statistics, one entry per bucket of
-  /// the grain (consistent once ingestion quiesces).
+  /// the grain (consistent once ingestion stops).
   std::vector<WordStats> buckets() const {
     std::vector<WordStats> Result;
     Result.reserve(BucketCount);

@@ -7,8 +7,8 @@
 /// \file
 /// Builds per-page NUMA sharing findings from the detection core's common
 /// finding source (GrainSnapshot + PageNumaEvidence), the page-granularity
-/// mirror of ReportBuilder: pages stream in one at a time as they quiesce
-/// (addPage), finalize() assesses each with the
+/// mirror of ReportBuilder: pages stream in one at a time once ingestion
+/// stops (addPage), finalize() assesses each with the
 /// EQ.1–EQ.4 page machinery (no-remote-access AverCycles baseline),
 /// classifies it with the unchanged SharingClassifier (nodes over lines
 /// instead of threads over words), attributes the overlapping heap/global
@@ -59,7 +59,7 @@ public:
                     const NumaTopology &Topology, const CacheGeometry &Geometry,
                     const PageReportGate &Gate);
 
-  /// Folds one quiesced page in — the granularity-neutral GrainSnapshot
+  /// Folds one settled page in — the granularity-neutral GrainSnapshot
   /// the detection core emits (per-line buckets, per-thread stats) plus
   /// the page-grain NUMA evidence alongside it. Pages with zero recorded
   /// accesses are skipped.

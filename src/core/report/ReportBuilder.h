@@ -7,7 +7,7 @@
 /// \file
 /// Incremental object-level report construction. The PR-1 design aggregated
 /// every materialized cache line inside Profiler::finish in one monolithic
-/// pass; this builder accepts lines one at a time as they quiesce
+/// pass; this builder accepts lines one at a time once ingestion stops
 /// (addLine), folds each into its owning object's aggregate, and at
 /// finalize() assesses every object and streams the findings — highest
 /// predicted improvement first — through an optional ReportSink while also
@@ -54,7 +54,7 @@ public:
                 const CacheGeometry &Geometry, const ReportGate &Gate);
   ~ReportBuilder();
 
-  /// Folds one quiesced line — as the granularity-neutral GrainSnapshot
+  /// Folds one settled line — as the granularity-neutral GrainSnapshot
   /// the detection core emits — into its owning object's aggregate. Lines
   /// may arrive in any order; a line with zero recorded accesses is
   /// skipped.

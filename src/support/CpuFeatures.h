@@ -1,16 +1,13 @@
-//===- support/CpuFeatures.h - Runtime CPU capability probes ----*- C++ -*-===//
+//===- support/CpuFeatures.h - Software-prefetch hints ----------*- C++ -*-===//
 //
 // Part of the Cheetah reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime CPU-feature detection and portable software-prefetch hints for
-/// the data-parallel ingestion kernels. Dispatch policy: kernels are
-/// selected once at decoder construction (never per batch), every SIMD
-/// kernel has a bit-identical scalar fallback, and building with
-/// -DCHEETAH_FORCE_SCALAR=ON compiles the SIMD kernels out entirely so the
-/// fallback is an executable equivalence gate, not dead code.
+/// Portable software-prefetch hints for the batched ingestion sweeps: the
+/// shadow tables and the detector pull random-address grain state toward
+/// the cache a fixed distance ahead of the demand access.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,18 +16,6 @@
 
 namespace cheetah {
 namespace support {
-
-/// \returns true if this CPU executes AVX2 instructions. Constant-folded to
-/// false on non-x86 targets and compilers without the probe builtin; the
-/// callers' scalar fallbacks keep those configurations fully functional.
-inline bool cpuHasAvx2() {
-#if (defined(__x86_64__) || defined(__i386__)) &&                              \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
 
 /// Hints the hardware prefetcher to pull \p Address toward the cache for a
 /// read. A hint only: safe on any address, including unmapped ones, and a

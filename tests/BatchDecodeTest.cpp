@@ -9,9 +9,8 @@
 ///
 ///  - BatchDecoder edge cases: line-straddling accesses, AccessBytes == 0,
 ///    end-of-line clamping, and addresses outside shadow coverage, checked
-///    against the per-sample decode arithmetic — plus the SIMD-vs-scalar
-///    differential (the two kernels must produce identical records for
-///    every stream, including non-multiple-of-4 tails);
+///    against the per-sample decode arithmetic, plus random streams over
+///    random geometries at every batch length;
 ///
 ///  - Detector::handleBatch against a handleSample reference over the same
 ///    stream: detector counters and full per-grain snapshots must match
@@ -173,38 +172,19 @@ TEST(BatchDecodeTest, AddressesOutsideShadowCoverageAreFlaggedUncovered) {
 }
 
 //===----------------------------------------------------------------------===//
-// SIMD-vs-scalar differential
+// Random streams against the reference arithmetic
 //===----------------------------------------------------------------------===//
 
-TEST(BatchDecodeTest, ForcedScalarDecoderAlwaysRunsTheScalarKernel) {
-  CacheGeometry Geometry(64);
-  BatchDecoder Forced(Geometry, {{RegionBase, 4096}}, /*ForceScalar=*/true);
-  EXPECT_EQ(Forced.kernel(), DecodeKernel::Scalar);
-  EXPECT_STREQ(decodeKernelName(Forced.kernel()), "scalar");
-
-  // The default decoder picks the widest kernel the build + CPU support.
-  BatchDecoder Default(Geometry, {{RegionBase, 4096}});
-  if (BatchDecoder::simdAvailable()) {
-    EXPECT_EQ(Default.kernel(), DecodeKernel::Avx2);
-    EXPECT_STREQ(decodeKernelName(Default.kernel()), "avx2");
-  } else {
-    EXPECT_EQ(Default.kernel(), DecodeKernel::Scalar);
-  }
-}
-
-TEST(BatchDecodeTest, SimdAndScalarKernelsProduceIdenticalRecords) {
-  // Random streams over random geometries: both kernels must agree record
-  // for record, at every batch length (covering the SIMD tail handling for
-  // counts that are not multiples of the vector width). When the SIMD
-  // kernel is unavailable this degenerates to scalar-vs-scalar and the
-  // reference check still pins correctness.
+TEST(BatchDecodeTest, RandomStreamsMatchTheReferenceDecode) {
+  // Random streams over random geometries: every record must match the
+  // reference formula at every batch length, including lengths that are
+  // not a multiple of any vector width the compiler may choose.
   SplitMix64 Rng(0xDEC0DE);
   for (uint64_t LineSize : {16, 32, 64, 128, 256}) {
     CacheGeometry Geometry(LineSize);
     std::vector<ShadowRegion> Regions{{RegionBase, 64 * LineSize},
                                       {0x7000'0000, 16 * LineSize}};
-    BatchDecoder Simd(Geometry, Regions);
-    BatchDecoder Scalar(Geometry, Regions, /*ForceScalar=*/true);
+    BatchDecoder Decoder(Geometry, Regions);
 
     for (size_t Count : {size_t(1), size_t(2), size_t(3), size_t(4),
                          size_t(5), size_t(7), size_t(63), size_t(256)}) {
@@ -228,18 +208,9 @@ TEST(BatchDecodeTest, SimdAndScalarKernelsProduceIdenticalRecords) {
         }
       }
       uint8_t AccessBytes = static_cast<uint8_t>(Rng.nextBelow(17));
-      DecodedBatch FromSimd, FromScalar;
-      Simd.decode(Samples.data(), Count, AccessBytes, FromSimd);
-      Scalar.decode(Samples.data(), Count, AccessBytes, FromScalar);
-      for (size_t I = 0; I < Count; ++I) {
-        ASSERT_EQ(FromSimd.Covered[I], FromScalar.Covered[I])
-            << "line " << LineSize << " count " << Count << " sample " << I;
-        ASSERT_EQ(FromSimd.Bucket[I], FromScalar.Bucket[I])
-            << "line " << LineSize << " count " << Count << " sample " << I;
-        ASSERT_EQ(FromSimd.Span[I], FromScalar.Span[I])
-            << "line " << LineSize << " count " << Count << " sample " << I;
-      }
-      expectMatchesReference(Scalar, Geometry, Regions, Samples, AccessBytes);
+      SCOPED_TRACE(testing::Message()
+                   << "line " << LineSize << " count " << Count);
+      expectMatchesReference(Decoder, Geometry, Regions, Samples, AccessBytes);
     }
   }
 }
@@ -316,9 +287,6 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtLineGranularity) {
   size_t GotRecorded =
       Got.handleBatch(Stream.data(), Stream.size(), /*InParallelPhase=*/true);
 
-  Want.quiesce();
-  Got.quiesce();
-
   EXPECT_EQ(GotRecorded, WantRecorded);
   DetectorStats WantStats = Want.stats(), GotStats = Got.stats();
   EXPECT_EQ(GotStats.SamplesSeen, WantStats.SamplesSeen);
@@ -366,9 +334,6 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtPageGranularity) {
   Detector Got(Geometry, GotShadow, Config);
   Got.attachPageTable(GotPages, Topology);
   Got.handleBatch(Stream.data(), Stream.size(), /*InParallelPhase=*/true);
-
-  Want.quiesce();
-  Got.quiesce();
 
   DetectorStats WantStats = Want.stats(), GotStats = Got.stats();
   EXPECT_EQ(GotStats.SamplesSeen, WantStats.SamplesSeen);

@@ -11,9 +11,9 @@
 /// evicted residue plus live counters equals a never-evicted run's totals,
 /// golden byte-identity of snapshots whose budget is never hit, and the
 /// multi-epoch soak that holds footprintBytes() under budget while
-/// ingesting far more distinct grains than the budget can hold. Runs in
-/// all three table modes (lock-free / CHEETAH_LOCKED_TABLE /
-/// CHEETAH_SHARDED_TABLE) via the CI matrix.
+/// ingesting far more distinct grains than the budget can hold, each epoch
+/// from a freshly spawned ingesting thread (so per-thread state left behind
+/// by departed threads would show up as footprint growth).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace cheetah;
@@ -85,10 +86,9 @@ TEST(EvictionFootprintTest, LineSlabArraysCountedExactly) {
                                sizeof(std::atomic<CacheLineInfo *>));
   EXPECT_EQ(Shadow.metadataBytes(), SlabBytes);
 
-  // The budget denominator is the metadata plus shard-registry overhead
-  // (zero records yet) — never less than the slab arrays the budget can
-  // never trim away.
-  EXPECT_EQ(Shadow.footprintBytes(), SlabBytes + Shadow.shardBytes());
+  // Unbudgeted and with nothing retired, the budget denominator is exactly
+  // the slab arrays the budget can never trim away.
+  EXPECT_EQ(Shadow.footprintBytes(), SlabBytes);
 
   // Installing a budget allocates the per-grain epoch-write baselines,
   // and the denominator must charge for them too.
@@ -109,7 +109,7 @@ TEST(EvictionFootprintTest, PageSlabArraysIncludeHomes) {
       Grains * (sizeof(std::atomic<uint32_t>) +
                 sizeof(std::atomic<PageInfo *>) + sizeof(std::atomic<NodeId>));
   EXPECT_EQ(Pages.metadataBytes(), SlabBytes);
-  EXPECT_EQ(Pages.footprintBytes(), SlabBytes + Pages.shardBytes());
+  EXPECT_EQ(Pages.footprintBytes(), SlabBytes);
 }
 
 TEST(EvictionFootprintTest, MaterializedInfoBytesMatchArithmetic) {
@@ -124,37 +124,12 @@ TEST(EvictionFootprintTest, MaterializedInfoBytesMatchArithmetic) {
   for (size_t I = 0; I < Tracked; ++I)
     for (ThreadId Tid = 0; Tid < 2; ++Tid)
       Detect.handleSample(makeSample(RegionBase + I * 64, Tid, true), true);
-  Detect.quiesce(); // sharded build: fold shards into the grains
 
   EXPECT_EQ(Shadow.materializedGrains(), Tracked);
   size_t SlabBytes = (Size / 64) * (sizeof(std::atomic<uint32_t>) +
                                     sizeof(std::atomic<CacheLineInfo *>));
   EXPECT_EQ(Shadow.metadataBytes(), SlabBytes + liveTotals(Shadow).InfoBytes);
 }
-
-#if CHEETAH_SHARDED_TABLE
-TEST(EvictionFootprintTest, ShardRecordsCountedAndDroppedAtQuiesce) {
-  CacheGeometry Geometry{64};
-  ShadowMemory Shadow{Geometry, {{RegionBase, 1 << 16}}};
-  DetectorConfig Config;
-  Config.WriteThreshold = 0;
-  Detector Detect{Geometry, Shadow, Config};
-
-  size_t Before = Shadow.shardBytes();
-  for (size_t I = 0; I < 64; ++I)
-    Detect.handleSample(makeSample(RegionBase + I * 64, 0, true), true);
-  // 64 live shard records: at least one map node each must be charged.
-  size_t Loaded = Shadow.shardBytes();
-  EXPECT_GE(Loaded, Before + 64 * sizeof(std::pair<const uint64_t,
-                                                   uint64_t>));
-  EXPECT_EQ(Shadow.footprintBytes(),
-            Shadow.metadataBytes() + Shadow.shardBytes());
-
-  // Quiesce folds and clears the records; only container overhead stays.
-  Detect.quiesce();
-  EXPECT_LT(Shadow.shardBytes(), Loaded);
-}
-#endif
 
 //===----------------------------------------------------------------------===//
 // Conservation: residue + live state == a never-evicted run's totals.
@@ -190,8 +165,6 @@ TEST(EvictionConservationTest, ResiduePlusLiveEqualsUnboundedTotals) {
       DetectUnbounded.handleSample(Sample, true);
       DetectBounded.handleSample(Sample, true);
     }
-    DetectUnbounded.quiesce();
-    DetectBounded.quiesce();
     EXPECT_GT(Bounded.enforceBudget(), 0u);
   }
 
@@ -293,7 +266,7 @@ TEST(EvictionSnapshotTest, EvictingSnapshotCarriesResidueSummary) {
 // Soak: many epochs of fresh grains, footprint pinned under budget.
 //===----------------------------------------------------------------------===//
 
-TEST(EvictionSoakTest, FootprintStaysUnderBudgetAcrossTenEpochs) {
+TEST(EvictionSoakTest, FootprintStaysUnderBudgetAcrossThreadChurnEpochs) {
   CacheGeometry Geometry{64};
   constexpr uint64_t Size = 1 << 18; // 4096 grains
   const size_t TotalGrains = Size / 64;
@@ -303,16 +276,14 @@ TEST(EvictionSoakTest, FootprintStaysUnderBudgetAcrossTenEpochs) {
   Detector Detect{Geometry, Shadow, Config};
 
   constexpr size_t GrainsPerEpoch = 256;
-  constexpr int Epochs = 10;
+  constexpr int Epochs = 100;
 
-  // Prime one epoch to measure the irreducible floor (slab arrays, epoch
-  // baselines, shard container overhead at steady-state record count),
-  // then budget a small slack above it: every later epoch must evict
-  // nearly everything it materialized to fit.
+  // Prime one epoch to measure the irreducible floor (slab arrays and
+  // epoch baselines), then budget a small slack above it: every later
+  // epoch must evict nearly everything it materialized to fit.
   for (size_t I = 0; I < GrainsPerEpoch; ++I)
     for (ThreadId Tid = 0; Tid < 2; ++Tid)
       Detect.handleSample(makeSample(RegionBase + I * 64, Tid, true), true);
-  Detect.quiesce();
   Shadow.setByteBudget(1); // allocate the epoch baselines
   size_t Floor = Shadow.footprintBytes() - liveTotals(Shadow).InfoBytes;
   size_t Budget = Floor + 4096;
@@ -323,16 +294,21 @@ TEST(EvictionSoakTest, FootprintStaysUnderBudgetAcrossTenEpochs) {
   uint64_t LastResidue = Shadow.evictedResidue().Grains;
   for (int Epoch = 1; Epoch < Epochs; ++Epoch) {
     // A fresh window of distinct grains each epoch — far more info bytes
-    // than the budget slack can hold.
-    for (size_t I = 0; I < GrainsPerEpoch; ++I) {
-      size_t Grain = (Epoch * GrainsPerEpoch + I) % TotalGrains;
-      for (ThreadId Tid = 0; Tid < 2; ++Tid)
-        Detect.handleSample(makeSample(RegionBase + Grain * 64, Tid, true),
-                            true);
-    }
-    Detect.quiesce();
+    // than the budget slack can hold — ingested by a fresh OS thread, the
+    // way the daemon replays each epoch. One thread at a time, joined
+    // before the epoch boundary: anything a departed thread leaves behind
+    // must stay inside the budget too.
+    std::thread Ingester([&, Epoch] {
+      for (size_t I = 0; I < GrainsPerEpoch; ++I) {
+        size_t Grain = (Epoch * GrainsPerEpoch + I) % TotalGrains;
+        for (ThreadId Tid = 0; Tid < 2; ++Tid)
+          Detect.handleSample(makeSample(RegionBase + Grain * 64, Tid, true),
+                              true);
+      }
+    });
+    Ingester.join();
     Shadow.enforceBudget();
-    EXPECT_LE(Shadow.footprintBytes(), Budget) << "epoch " << Epoch;
+    ASSERT_LE(Shadow.footprintBytes(), Budget) << "epoch " << Epoch;
     uint64_t Residue = Shadow.evictedResidue().Grains;
     EXPECT_GT(Residue, LastResidue) << "epoch " << Epoch;
     LastResidue = Residue;
@@ -352,7 +328,6 @@ TEST(EvictionDecayTest, EvictedGrainReadsUnmaterializedAndReEarnsTracking) {
 
   Detect.handleSample(makeSample(RegionBase, 0, true), true);
   Detect.handleSample(makeSample(RegionBase, 1, true), true);
-  Detect.quiesce();
   ASSERT_NE(Shadow.detail(RegionBase), nullptr);
   ASSERT_EQ(Shadow.materializedGrains(), 1u);
 
@@ -368,7 +343,6 @@ TEST(EvictionDecayTest, EvictedGrainReadsUnmaterializedAndReEarnsTracking) {
 
   // Traffic returning to the decayed grain re-materializes it fresh.
   Detect.handleSample(makeSample(RegionBase, 0, true), true);
-  Detect.quiesce();
   ASSERT_NE(Shadow.detail(RegionBase), nullptr);
   EXPECT_EQ(Shadow.detail(RegionBase)->accesses(), 1u);
   EXPECT_EQ(Shadow.materializedGrains(), 1u);

@@ -7,11 +7,10 @@
 /// \file
 /// Byte-exact differential gate for the JSON report pipeline: every
 /// registered workload's `cheetah-report-v4` document must match its
-/// checked-in golden under tests/goldens/, in every table-mode build
-/// (shared, CHEETAH_LOCKED_TABLE, CHEETAH_SHARDED_TABLE). This is the
-/// executable form of the refactor contract — the granularity-generic
-/// detection core and any ingestion-mode change must be observationally
-/// invisible at the report boundary, down to the last byte.
+/// checked-in golden under tests/goldens/. This is the executable form of
+/// the refactor contract — any change to the detection core or its
+/// ingestion path must be observationally invisible at the report
+/// boundary, down to the last byte.
 ///
 /// Goldens regenerate with the exact flags encoded here, e.g.:
 ///   cheetah-profile --workload=kmeans --format=json \

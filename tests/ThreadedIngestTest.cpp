@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -75,11 +74,10 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
   for (uint64_t Line = 0; Line < NumLines; ++Line)
     for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
       SerialDetect.handleSample(Sample, /*InParallelPhase=*/true);
-  SerialDetect.quiesce();
 
   // Parallel run: lines are partitioned over 8 ingest threads, so each
   // line's stream keeps its order while the threads race on the shared
-  // shadow arrays, stripe locks, and detector counters.
+  // shadow arrays, grain details, and detector counters.
   ShadowMemory Shadow(Geometry, {{RegionBase, NumLines * LineSize}});
   Detector Detect(Geometry, Shadow, Config);
   std::vector<std::thread> Threads;
@@ -91,11 +89,6 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  // Epoch boundary: folds per-thread shards back in the sharded build
-  // (and proves merge conservation there); no-op otherwise. With it, the
-  // per-line comparison below doubles as the sharded-vs-serial
-  // equivalence check.
-  Detect.quiesce();
 
   DetectorStats Serial = SerialDetect.stats();
   DetectorStats Parallel = Detect.stats();
@@ -125,9 +118,9 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
 TEST(ThreadedIngestTest, BatchedDisjointLinePartitionsMatchSerialReference) {
   // The handleBatch mirror of the test above: the same per-line streams,
   // but each ingest thread delivers its lines in whole batches through the
-  // staged pipeline (SIMD decode, branchless stage-1 sweep, prefetched
-  // lookups). Eight threads race on the shared write counters, stripe
-  // locks, and per-thread decode scratch; the result must still equal a
+  // staged pipeline (batch decode, branchless stage-1 sweep, prefetched
+  // lookups). Eight threads race on the shared write counters, grain
+  // details, and per-thread decode scratch; the result must still equal a
   // serial per-sample reference, line for line.
   constexpr uint64_t NumLines = 512;
   constexpr unsigned SamplesPerLine = 48;
@@ -139,7 +132,6 @@ TEST(ThreadedIngestTest, BatchedDisjointLinePartitionsMatchSerialReference) {
   for (uint64_t Line = 0; Line < NumLines; ++Line)
     for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
       SerialDetect.handleSample(Sample, /*InParallelPhase=*/true);
-  SerialDetect.quiesce();
 
   ShadowMemory Shadow(Geometry, {{RegionBase, NumLines * LineSize}});
   Detector Detect(Geometry, Shadow, Config);
@@ -154,7 +146,6 @@ TEST(ThreadedIngestTest, BatchedDisjointLinePartitionsMatchSerialReference) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  Detect.quiesce();
 
   DetectorStats Serial = SerialDetect.stats();
   DetectorStats Parallel = Detect.stats();
@@ -213,7 +204,6 @@ TEST(ThreadedIngestTest, ContendedLinesLoseNoSamples) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  Detect.quiesce();
 
   constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
   DetectorStats Stats = Detect.stats();
@@ -337,7 +327,6 @@ TEST(ThreadedIngestTest, SingleSharedLineDetectorHammer) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  Detect.quiesce();
 
   constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
   DetectorStats Stats = Detect.stats();
@@ -401,7 +390,6 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  Detect.quiesce();
 
   constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
   DetectorStats Stats = Detect.stats();
@@ -426,6 +414,12 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
   EXPECT_EQ(Info->remoteAccesses(), AccessesPerNode[1 - Home].load());
   EXPECT_EQ(Info->remoteAccesses(), Stats.RemoteSamples);
   EXPECT_EQ(Info->remoteCycles(), Info->remoteAccesses() * 25);
+  // Every remote sample landed in its distance bucket (one remote distance
+  // on a two-node topology).
+  std::vector<RemoteDistanceStats> ByDistance = Info->remoteByDistance();
+  ASSERT_EQ(ByDistance.size(), 1u);
+  EXPECT_EQ(ByDistance[0].Accesses, Info->remoteAccesses());
+  EXPECT_EQ(ByDistance[0].Cycles, Info->remoteCycles());
 
   // Per-node accumulators conserve the population: both nodes present,
   // each with its threads' exact totals.
@@ -448,234 +442,6 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
   EXPECT_LE(Info->table().size(), 2u);
   if (Info->table().size() == 2)
     EXPECT_NE(Info->table().entry(0).Tid, Info->table().entry(1).Tid);
-}
-
-//===----------------------------------------------------------------------===//
-// Epoch-sharded ingestion: the recordSharded()/quiesce() path is compiled
-// in every build, so these tests A/B it against the shared lock-free path
-// everywhere — not only when CHEETAH_SHARDED_TABLE routes record() to it.
-//===----------------------------------------------------------------------===//
-
-TEST(ShardedIngestTest, MergeConservesEveryCounterAcrossEpochs) {
-  // 8 OS threads hammer ONE line through their per-thread shards; the
-  // merge totals reported by quiesce() must conserve exactly what the
-  // threads issued, and a second epoch must fold only its delta.
-  constexpr unsigned SamplesPerThread = 20000;
-  constexpr uint64_t WordsPerLine = 16;
-  CacheGeometry Geometry(LineSize);
-  ShadowMemory Shadow(Geometry, {{RegionBase, LineSize}});
-
-  std::atomic<uint64_t> WritesIssued{0}, Invalidations{0};
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < IngestThreads; ++T)
-    Threads.emplace_back([&, T] {
-      SplitMix64 Rng(0x5A4D ^ T);
-      uint64_t LocalWrites = 0, LocalInvalidations = 0;
-      for (unsigned I = 0; I < SamplesPerThread; ++I) {
-        AccessKind Kind =
-            Rng.nextBool(0.5) ? AccessKind::Write : AccessKind::Read;
-        LocalWrites += Kind == AccessKind::Write ? 1 : 0;
-        CacheLineInfo &Info = Shadow.materializeDetail(RegionBase);
-        LocalInvalidations += Shadow.recordSharded(
-            RegionBase, Info, static_cast<ThreadId>(T),
-            /*Actor=*/static_cast<ThreadId>(T), Kind,
-            Rng.nextBelow(WordsPerLine), /*Span=*/1, /*LatencyCycles=*/10);
-      }
-      WritesIssued.fetch_add(LocalWrites);
-      Invalidations.fetch_add(LocalInvalidations);
-    });
-  for (std::thread &Thread : Threads)
-    Thread.join();
-
-  // Before the merge, only the shared two-entry table has moved: the
-  // additive counters still read zero.
-  const CacheLineInfo *Info = Shadow.detail(RegionBase);
-  ASSERT_NE(Info, nullptr);
-  EXPECT_EQ(Info->accesses(), 0u);
-  EXPECT_EQ(Shadow.shardCount(), size_t(IngestThreads));
-
-  constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
-  GrainMergeStats Merge = Shadow.quiesce();
-  EXPECT_EQ(Merge.Shards, uint64_t(IngestThreads));
-  EXPECT_EQ(Merge.Records, uint64_t(IngestThreads)); // one grain per shard
-  EXPECT_EQ(Merge.Accesses, Total);
-  EXPECT_EQ(Merge.Writes, WritesIssued.load());
-  EXPECT_EQ(Merge.Cycles, Total * 10);
-  EXPECT_EQ(Merge.Invalidations, Invalidations.load());
-  EXPECT_EQ(Merge.RemoteAccesses, 0u); // lines have no remote dimension
-
-  // The folded-back shared state conserves the population too.
-  EXPECT_EQ(Info->accesses(), Total);
-  EXPECT_EQ(Info->writes(), WritesIssued.load());
-  EXPECT_EQ(Info->cycles(), Total * 10);
-  EXPECT_EQ(Info->invalidations(), Invalidations.load());
-  uint64_t WordAccesses = 0;
-  for (const WordStats &Word : Info->words())
-    WordAccesses += Word.accesses();
-  EXPECT_EQ(WordAccesses, Total);
-  std::vector<ThreadLineStats> PerThread = Info->threads();
-  ASSERT_EQ(PerThread.size(), size_t(IngestThreads));
-  for (const ThreadLineStats &Stats : PerThread)
-    EXPECT_EQ(Stats.Accesses, SamplesPerThread) << "tid " << Stats.Tid;
-
-  // Shards were emptied: an immediate re-quiesce merges nothing.
-  GrainMergeStats Empty = Shadow.quiesce();
-  EXPECT_EQ(Empty.Records, 0u);
-  EXPECT_EQ(Empty.Accesses, 0u);
-
-  // Epoch two, from a ninth ingesting thread (main): the merge reports
-  // only the delta, and the shared totals advance by exactly that much.
-  constexpr uint64_t ExtraSamples = 100;
-  CacheLineInfo &Detail = Shadow.materializeDetail(RegionBase);
-  for (uint64_t I = 0; I < ExtraSamples; ++I)
-    Shadow.recordSharded(RegionBase, Detail, /*Tid=*/0, /*Actor=*/0,
-                         AccessKind::Write, /*Bucket=*/I % WordsPerLine,
-                         /*Span=*/1, /*LatencyCycles=*/10);
-  GrainMergeStats Second = Shadow.quiesce();
-  EXPECT_EQ(Second.Shards, uint64_t(IngestThreads) + 1);
-  EXPECT_EQ(Second.Records, 1u);
-  EXPECT_EQ(Second.Accesses, ExtraSamples);
-  EXPECT_EQ(Info->accesses(), Total + ExtraSamples);
-}
-
-TEST(ShardedIngestTest, MergedOutputMatchesSharedTableSampleForSample) {
-  // Disjoint line partitions make every per-line history deterministic, so
-  // the sharded-mode merge output must equal the shared lock-free path
-  // field for field — counters, invalidations, word histograms (including
-  // first-thread/multi-thread bits), and per-thread totals.
-  constexpr uint64_t NumLines = 64;
-  constexpr unsigned SamplesPerLine = 64;
-  CacheGeometry Geometry(LineSize);
-  ShadowMemory Shared(Geometry, {{RegionBase, NumLines * LineSize}});
-  ShadowMemory Sharded(Geometry, {{RegionBase, NumLines * LineSize}});
-
-  // Reference: the same per-line streams through the shared path, serially.
-  for (uint64_t Line = 0; Line < NumLines; ++Line) {
-    uint64_t Base = RegionBase + Line * LineSize;
-    CacheLineInfo &Info = Shared.materializeDetail(Base);
-    for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
-      Info.recordAccess(Sample.Tid,
-                        Sample.IsWrite ? AccessKind::Write : AccessKind::Read,
-                        (Sample.Address - Base) / 4, /*WordSpan=*/1,
-                        Sample.LatencyCycles);
-  }
-
-  // Candidate: identical streams through 8 ingest threads' shards.
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < IngestThreads; ++T)
-    Threads.emplace_back([&, T] {
-      for (uint64_t Line = T; Line < NumLines; Line += IngestThreads) {
-        uint64_t Base = RegionBase + Line * LineSize;
-        CacheLineInfo &Info = Sharded.materializeDetail(Base);
-        for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
-          Sharded.recordSharded(Base, Info, Sample.Tid, Sample.Tid,
-                                Sample.IsWrite ? AccessKind::Write
-                                               : AccessKind::Read,
-                                (Sample.Address - Base) / 4, /*Span=*/1,
-                                Sample.LatencyCycles);
-      }
-    });
-  for (std::thread &Thread : Threads)
-    Thread.join();
-  Sharded.quiesce();
-
-  for (uint64_t Line = 0; Line < NumLines; ++Line) {
-    uint64_t Base = RegionBase + Line * LineSize;
-    const CacheLineInfo *Want = Shared.detail(Base);
-    const CacheLineInfo *Got = Sharded.detail(Base);
-    ASSERT_NE(Want, nullptr);
-    ASSERT_NE(Got, nullptr);
-    GrainSnapshot WantSnap = Want->snapshot(Base);
-    GrainSnapshot GotSnap = Got->snapshot(Base);
-    EXPECT_EQ(GotSnap.Accesses, WantSnap.Accesses) << "line " << Line;
-    EXPECT_EQ(GotSnap.Writes, WantSnap.Writes) << "line " << Line;
-    EXPECT_EQ(GotSnap.Cycles, WantSnap.Cycles) << "line " << Line;
-    EXPECT_EQ(GotSnap.Invalidations, WantSnap.Invalidations)
-        << "line " << Line;
-    ASSERT_EQ(GotSnap.Buckets.size(), WantSnap.Buckets.size());
-    for (size_t W = 0; W < WantSnap.Buckets.size(); ++W) {
-      EXPECT_EQ(GotSnap.Buckets[W].Reads, WantSnap.Buckets[W].Reads)
-          << "line " << Line << " word " << W;
-      EXPECT_EQ(GotSnap.Buckets[W].Writes, WantSnap.Buckets[W].Writes)
-          << "line " << Line << " word " << W;
-      EXPECT_EQ(GotSnap.Buckets[W].Cycles, WantSnap.Buckets[W].Cycles)
-          << "line " << Line << " word " << W;
-      EXPECT_EQ(GotSnap.Buckets[W].FirstThread, WantSnap.Buckets[W].FirstThread)
-          << "line " << Line << " word " << W;
-      EXPECT_EQ(GotSnap.Buckets[W].MultiThread, WantSnap.Buckets[W].MultiThread)
-          << "line " << Line << " word " << W;
-    }
-    // Thread slots may surface in chain order vs merge order; compare as
-    // tid-sorted sets.
-    auto ByTid = [](const ThreadLineStats &A, const ThreadLineStats &B) {
-      return A.Tid < B.Tid;
-    };
-    std::sort(WantSnap.Threads.begin(), WantSnap.Threads.end(), ByTid);
-    std::sort(GotSnap.Threads.begin(), GotSnap.Threads.end(), ByTid);
-    ASSERT_EQ(GotSnap.Threads.size(), WantSnap.Threads.size());
-    for (size_t S = 0; S < WantSnap.Threads.size(); ++S) {
-      EXPECT_EQ(GotSnap.Threads[S].Tid, WantSnap.Threads[S].Tid);
-      EXPECT_EQ(GotSnap.Threads[S].Accesses, WantSnap.Threads[S].Accesses);
-      EXPECT_EQ(GotSnap.Threads[S].Cycles, WantSnap.Threads[S].Cycles);
-    }
-  }
-}
-
-TEST(ShardedIngestTest, PageMergeConservesRemoteEvidence) {
-  // Page-grain shards carry NUMA extras; the merge must conserve remote
-  // accesses/cycles and per-node populations across an 8-thread hammer on
-  // one page split over two nodes.
-  constexpr unsigned SamplesPerThread = 10000;
-  constexpr uint64_t PageSize = 4096;
-  NumaTopology Topology(2, PageSize);
-  CacheGeometry Geometry(LineSize);
-  PageTable Pages(Topology, Geometry, {{RegionBase, PageSize}});
-
-  // Settle the home deterministically before the threads race.
-  ASSERT_EQ(Pages.noteTouch(RegionBase, /*Node=*/0), 0u);
-
-  std::atomic<uint64_t> RemoteIssued{0};
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < IngestThreads; ++T)
-    Threads.emplace_back([&, T] {
-      SplitMix64 Rng(0x9A6E5A4D ^ T);
-      NodeId Node = T % 2;
-      bool Remote = Node != 0;
-      for (unsigned I = 0; I < SamplesPerThread; ++I) {
-        PageInfo &Info = Pages.materializeDetail(RegionBase);
-        Pages.recordSharded(RegionBase, Info, static_cast<ThreadId>(T), Node,
-                            Rng.nextBool(0.5) ? AccessKind::Write
-                                              : AccessKind::Read,
-                            /*Bucket=*/Rng.nextBelow(PageSize / LineSize),
-                            /*Span=*/1, /*LatencyCycles=*/25,
-                            {Remote, Remote ? 1u : 0u});
-      }
-      if (Remote)
-        RemoteIssued.fetch_add(SamplesPerThread);
-    });
-  for (std::thread &Thread : Threads)
-    Thread.join();
-
-  constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
-  GrainMergeStats Merge = Pages.quiesce();
-  EXPECT_EQ(Merge.Accesses, Total);
-  EXPECT_EQ(Merge.RemoteAccesses, RemoteIssued.load());
-
-  const PageInfo *Info = Pages.detail(RegionBase);
-  ASSERT_NE(Info, nullptr);
-  EXPECT_EQ(Info->accesses(), Total);
-  EXPECT_EQ(Info->remoteAccesses(), RemoteIssued.load());
-  EXPECT_EQ(Info->remoteCycles(), RemoteIssued.load() * 25);
-  EXPECT_EQ(Info->nodeCount(), 2u);
-  std::vector<NodePageStats> Nodes = Info->nodes();
-  ASSERT_EQ(Nodes.size(), 2u);
-  for (const NodePageStats &Node : Nodes)
-    EXPECT_EQ(Node.Accesses, Total / 2) << "node " << Node.Node;
-  std::vector<RemoteDistanceStats> ByDistance = Info->remoteByDistance();
-  ASSERT_EQ(ByDistance.size(), 1u); // all remote traffic crossed distance 1
-  EXPECT_EQ(ByDistance[0].Distance, 1u);
-  EXPECT_EQ(ByDistance[0].Accesses, RemoteIssued.load());
-  EXPECT_EQ(ByDistance[0].Cycles, RemoteIssued.load() * 25);
 }
 
 //===----------------------------------------------------------------------===//
